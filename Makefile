@@ -145,9 +145,12 @@ crash-smoke:
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
-# Everything the CI workflow runs, locally.
+# Everything the CI workflow runs, locally. bench/ is a separate
+# module the root `go test ./...` never reaches, so it is vetted and
+# tested on its own.
 ci: build vet fmt-check doclint
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) test -fuzz=FuzzEngineVsReference -fuzztime=10s -run=^$$ ./internal/vm
 	$(GO) test -fuzz=FuzzEngineUnderManagement -fuzztime=10s -run=^$$ ./internal/vm
 	$(GO) test -fuzz=FuzzCacheVsReference -fuzztime=10s -run=^$$ ./internal/cache

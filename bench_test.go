@@ -485,7 +485,7 @@ func benchRecord(b *testing.B, format rtrace.Format) {
 		if format == rtrace.FormatBytes {
 			rec = rtrace.NewRecorder()
 		} else {
-			rec = rtrace.NewSummaryRecorder(prog, 2_000_000)
+			rec = rtrace.NewSummaryRecorder(prog, 0)
 		}
 		if err := eng.SetRecorder(rec); err != nil {
 			b.Fatal(err)

@@ -62,16 +62,17 @@ func ParseFormat(s string) (Format, error) {
 // the same recordings whichever recorder captured them.
 const summaryMaxMemBytes = 6 * summaryMaxTraceBytes
 
-// summaryMemBytes is the summary's resident size: the op and pc
-// streams plus the ext/data/footprint side tables.
+// summaryMemBytes is the summary's resident size: the bytes allocated
+// for it, not the bytes in use — every op-stream segment in full, and
+// the capacity of the ext/data/footprint side tables.
 func summaryMemBytes(s *summary) int {
 	const (
-		opBytes   = int(unsafe.Sizeof(sumOp{}))
+		segBytes  = int(unsafe.Sizeof(opSeg{}))
 		extBytes  = int(unsafe.Sizeof(sumExt{}))
 		footBytes = int(unsafe.Sizeof(cache.FootLine{}))
 	)
-	return len(s.ops)*opBytes + len(s.pcs)*4 + len(s.ext)*extBytes +
-		len(s.data)*8 + len(s.foot)*footBytes
+	return len(s.segs)*segBytes + cap(s.ext)*extBytes +
+		cap(s.data)*8 + cap(s.foot)*footBytes
 }
 
 // MemBytes reports the trace's resident memory: the encoded chunk
@@ -117,27 +118,12 @@ type SummaryRecorder struct {
 }
 
 // NewSummaryRecorder returns an empty direct recorder ready to
-// install on an engine running prog. instrHint, when non-zero, is the
-// run's instruction budget (or an estimate); it pre-sizes the op
-// stream — the suite's workloads average ~6 retired instructions per
-// boundary — so a recording with a known budget never pays append's
-// grow-and-copy churn. Zero keeps a small default and grows by
-// doubling.
+// install on an engine running prog. instrHint is unused: the op
+// stream grows a fixed-size segment at a time and never copies, so no
+// recording needs its length guessed up front.
 func NewSummaryRecorder(prog *program.Program, instrHint uint64) *SummaryRecorder {
-	const (
-		instrsPerOp = 6
-		minGuess    = 1 << 12
-		maxGuess    = 1 << 21 // 2M ops ≈ 48 MiB of ops+pcs up front
-	)
-	guess := int(instrHint / instrsPerOp)
-	if guess < minGuess {
-		guess = minGuess
-	}
-	if guess > maxGuess {
-		guess = maxGuess
-	}
 	r := &SummaryRecorder{}
-	r.b.init(prog, guess)
+	r.b.init(prog)
 	return r
 }
 

@@ -2,7 +2,9 @@ package rtrace
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"acedo/internal/machine"
 	"acedo/internal/program"
@@ -10,9 +12,9 @@ import (
 	"acedo/internal/workload"
 )
 
-// directTrace is recordedTrace with the direct summary recorder
-// installed instead of the byte encoder.
-func directTrace(t *testing.T, bench string, budget uint64) (*program.Program, *Trace) {
+// benchEngine builds a benchmark's program and a fresh engine to run
+// it on.
+func benchEngine(t *testing.T, bench string) (*program.Program, *vm.Engine) {
 	t.Helper()
 	spec, ok := workload.ByName(bench)
 	if !ok {
@@ -31,7 +33,14 @@ func directTrace(t *testing.T, bench string, budget uint64) (*program.Program, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewSummaryRecorder(prog, budget)
+	return prog, eng
+}
+
+// recordDirect runs eng under a fresh direct recorder (with no size
+// hint, like every production caller) and seals the trace.
+func recordDirect(t *testing.T, prog *program.Program, eng *vm.Engine, budget uint64) *Trace {
+	t.Helper()
+	rec := NewSummaryRecorder(prog, 0)
 	if err := eng.SetRecorder(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +51,49 @@ func directTrace(t *testing.T, bench string, budget uint64) (*program.Program, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, tr
+	return tr
+}
+
+// directTrace is recordedTrace with the direct summary recorder
+// installed instead of the byte encoder.
+func directTrace(t *testing.T, bench string, budget uint64) (*program.Program, *Trace) {
+	t.Helper()
+	prog, eng := benchEngine(t, bench)
+	return prog, recordDirect(t, prog, eng, budget)
+}
+
+// measuredRecording records bench to completion and reports the bytes
+// the recording allocated and the live heap it left behind, with the
+// program and engine built beforehand so neither counts.
+func measuredRecording(t *testing.T, bench string) (tr *Trace, allocated, live int64) {
+	t.Helper()
+	prog, eng := benchEngine(t, bench)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr = recordDirect(t, prog, eng, 0)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return tr, int64(after.TotalAlloc - before.TotalAlloc), int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// requireSegments fails unless s spans at least three op segments with
+// a segment boundary inside a straight-line run of foldable ops, so a
+// differential test using it crosses segment boundaries both inside
+// fused runs and in listener replays.
+func requireSegments(t *testing.T, label string, s *summary) {
+	t.Helper()
+	if len(s.segs) < 3 {
+		t.Fatalf("%s: %d ops in %d segments, want at least 3 segments", label, s.n, len(s.segs))
+	}
+	for i := segOps; i < s.n; i += segOps {
+		before, k := s.seg(i - 1)
+		after, _ := s.seg(i)
+		if before.ops[k].w&opBoundaryMask == 0 && after.ops[0].w&opBoundaryMask == 0 {
+			return
+		}
+	}
+	t.Fatalf("%s: no segment boundary falls inside a fused run", label)
 }
 
 // checkSameSummary asserts two summaries are op-for-op identical:
@@ -56,16 +107,18 @@ func checkSameSummary(t *testing.T, label string, want, got *summary) {
 	if want.err != nil || got.err != nil {
 		t.Fatalf("%s: summary errors: want %v, got %v", label, want.err, got.err)
 	}
-	if len(want.ops) != len(got.ops) {
-		t.Fatalf("%s: op count %d, want %d", label, len(got.ops), len(want.ops))
+	if want.n != got.n || len(want.segs) != len(got.segs) {
+		t.Fatalf("%s: op count %d in %d segments, want %d in %d", label, got.n, len(got.segs), want.n, len(want.segs))
 	}
-	for i := range want.ops {
-		if want.ops[i] != got.ops[i] {
-			t.Fatalf("%s: op %d = %+v, want %+v", label, i, got.ops[i], want.ops[i])
+	for i := 0; i < want.n; i++ {
+		wg, k := want.seg(i)
+		gg, _ := got.seg(i)
+		if wg.ops[k] != gg.ops[k] {
+			t.Fatalf("%s: op %d = %+v, want %+v", label, i, gg.ops[k], wg.ops[k])
 		}
-	}
-	if !reflect.DeepEqual(want.pcs, got.pcs) {
-		t.Errorf("%s: pc streams differ", label)
+		if wg.pcs[k] != gg.pcs[k] {
+			t.Fatalf("%s: pc %d = %#x, want %#x", label, i, gg.pcs[k], wg.pcs[k])
+		}
 	}
 	if !reflect.DeepEqual(want.ext, got.ext) {
 		t.Errorf("%s: ext tables differ (%d vs %d records)", label, len(want.ext), len(got.ext))
@@ -110,6 +163,7 @@ func TestDirectSummaryOpIdentical(t *testing.T) {
 			if !directTr.DirectBuilt() || byteTr.DirectBuilt() {
 				t.Errorf("%s: DirectBuilt flags wrong", label)
 			}
+			requireSegments(t, label, directTr.summaryFor(prog))
 			checkSameSummary(t, label, byteTr.summaryFor(prog), directTr.summaryFor(prog))
 		}
 	}
@@ -130,6 +184,7 @@ func TestDirectReplayMatchesByteOracle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, byteTr := recordedTrace(t, "jess", tc.budget)
 			_, directTr := directTrace(t, "jess", tc.budget)
+			requireSegments(t, tc.name, directTr.summaryFor(prog))
 
 			exact := freshEnv(t, prog)
 			if err := byteTr.ReplayExact(exact); err != nil {
@@ -189,6 +244,35 @@ func TestDirectTraceMemBytes(t *testing.T) {
 	byteTr.Prime(prog)
 	if primed := byteTr.MemBytes(); primed <= encoded {
 		t.Errorf("primed byte trace MemBytes = %d, want > %d", primed, encoded)
+	}
+}
+
+// TestMemBytesChargesAllocation: MemBytes is what the trace cache
+// charges against its budget, so it must be the memory a trace keeps
+// resident — whole op segments and side-table capacity, not the bytes
+// in use. The live heap a recording leaves behind must match it to
+// within one segment.
+func TestMemBytesChargesAllocation(t *testing.T) {
+	tr, _, live := measuredRecording(t, "compress")
+	const segBytes = int64(unsafe.Sizeof(opSeg{}))
+	mem := int64(tr.MemBytes())
+	if d := live - mem; d > segBytes || d < -segBytes {
+		t.Errorf("MemBytes = %d, live heap after recording = %d: off by %d, want within one segment (%d)", mem, live, d, segBytes)
+	}
+	runtime.KeepAlive(tr)
+}
+
+// TestRecordDoesNotCopyOpStream: recording grows the op stream a
+// segment at a time and never copies it, so a full recording with no
+// size hint allocates little beyond what the trace keeps. A doubling
+// stream allocates about twice its final size, and more when the
+// final arrays are left part empty.
+func TestRecordDoesNotCopyOpStream(t *testing.T) {
+	tr, allocated, _ := measuredRecording(t, "db")
+	mem := int64(tr.MemBytes())
+	if allocated*100 > mem*115 {
+		t.Errorf("recording allocated %d bytes for a %d-byte trace (%.2fx), want <= 1.15x",
+			allocated, mem, float64(allocated)/float64(mem))
 	}
 }
 

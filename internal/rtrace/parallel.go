@@ -49,12 +49,12 @@ func (t *Trace) ReplayParallel(env Env, workers int) error {
 		return s.err
 	}
 	nspan := workers
-	if m := len(s.ops) / minSpanOps; nspan > m {
+	if m := s.n / minSpanOps; nspan > m {
 		nspan = m
 	}
 	if nspan <= 1 || env.BlockListener != nil || !env.AOS.Passive() {
 		w := newSumWalker(t, s, env)
-		_, err := w.walk(0, len(s.ops), true)
+		_, err := w.walk(0, s.n, true)
 		return err
 	}
 
@@ -97,9 +97,10 @@ func (t *Trace) ReplayParallel(env Env, workers int) error {
 // recorded L1I miss line), returning the nspan+1 boundary indices.
 func splitSpans(s *summary, nspan int) []int {
 	var total uint64
-	weights := make([]uint64, len(s.ops))
-	for i := range s.ops {
-		o := &s.ops[i]
+	weights := make([]uint64, s.n)
+	for i := range weights {
+		g, k := s.seg(i)
+		o := &g.ops[k]
 		var w uint64
 		if o.w&opExtBit != 0 {
 			x := &s.ext[o.d]
@@ -115,11 +116,11 @@ func splitSpans(s *summary, nspan int) []int {
 	for i, w := range weights {
 		acc += w
 		k := len(bounds)
-		if k < nspan && acc >= total*uint64(k)/uint64(nspan) && i+1 < len(s.ops) {
+		if k < nspan && acc >= total*uint64(k)/uint64(nspan) && i+1 < s.n {
 			bounds = append(bounds, i+1)
 		}
 	}
-	return append(bounds, len(s.ops))
+	return append(bounds, s.n)
 }
 
 // spanView is one cache set a span touched: the worker's assumed view
@@ -190,7 +191,8 @@ func runSpanWorker(s *summary, lo, hi int, live1, live2 *cache.Cache) *spanRec {
 		if i == lo {
 			wk.startSpan()
 		}
-		wk.applyOp(s.ops[i])
+		g, k := s.seg(i)
+		wk.applyOp(g.ops[k])
 	}
 	wk.finish()
 	return rec

@@ -63,7 +63,7 @@ func (t *Trace) Replay(env Env) error {
 		return s.err
 	}
 	w := newSumWalker(t, s, env)
-	_, err := w.walk(0, len(s.ops), true)
+	_, err := w.walk(0, s.n, true)
 	return err
 }
 

@@ -1,5 +1,5 @@
 // Summarized-block replay: a sealed trace is decoded exactly once
-// into a flat op stream in which every block instance's body events
+// into an op stream in which every block instance's body events
 // (data accesses, retire batches, branch verdicts, D-TLB outcomes)
 // are pre-aggregated, together with the instance's distinct-line data
 // footprint. Replays then walk the decoded stream instead of the byte
@@ -16,11 +16,15 @@
 // The op stream is deliberately tiny — 16 bytes per op — because the
 // replay loop is memory-bound: the suite's traces decode to millions
 // of ops, so every extra op byte is a byte of DRAM traffic on every
-// replay. The common case (an intra-method block entry with a short
-// retire batch and at most one data access) packs into one word of
-// bit-fields plus one word holding the access itself; everything rare
-// — method entries, masked fetch walks, wide bodies — overflows into
-// a fat side table consulted only when an op's ext bit is set.
+// replay. It is stored as a list of fixed-size segments (opSeg), so
+// the recorder appends a fresh segment when the current one fills and
+// never copies: a trace carries at most one partly filled segment of
+// slack, and no recording needs its length known up front. The common
+// case (an intra-method block entry with a short retire batch and at
+// most one data access) packs into one word of bit-fields plus one
+// word holding the access itself; everything rare — method entries,
+// masked fetch walks, wide bodies — overflows into a fat side table
+// consulted only when an op's ext bit is set.
 package rtrace
 
 import (
@@ -91,6 +95,24 @@ type sumOp struct {
 	d uint64
 }
 
+// Op-stream segmentation: segOps ops (1 MiB of ops plus 256 KiB of
+// pcs) per segment. Op i lives at offset i&segMask of segment
+// i>>segShift.
+const (
+	segShift = 16
+	segOps   = 1 << segShift
+	segMask  = segOps - 1
+)
+
+// opSeg is one fixed-size segment of the op stream and its parallel pc
+// stream (pcs[k] is pc<<8 | nInstrs for a packed block op, used by
+// listener replays only). Every segment of a summary but the last is
+// full.
+type opSeg struct {
+	ops [segOps]sumOp
+	pcs [segOps]uint32
+}
+
 // sumExt is the unpacked form of a rare op: method entries (which need
 // the method ID), masked fetch walks (which need the line range and
 // the recorded I-TLB/L1I outcome masks), and bodies whose counts
@@ -119,14 +141,19 @@ type sumExt struct {
 // bodies. Immutable after construction and shared by every concurrent
 // replay of the trace.
 type summary struct {
-	ops     []sumOp
-	pcs     []uint32 // per packed block op: pc<<8 | nInstrs (listener replays only)
+	segs    []*opSeg
+	n       int // ops in the stream, across segs
 	ext     []sumExt
 	data    []uint64 // wordAddr<<1 | write bit, in access order
 	foot    []cache.FootLine
 	err     error // non-nil: the byte stream is malformed
 	retired uint64
 	progSig uint64
+}
+
+// seg locates op i of the stream: its segment and the offset within.
+func (s *summary) seg(i int) (*opSeg, int) {
+	return s.segs[i>>segShift], i & segMask
 }
 
 // totalBatch is the summary's retired-instruction grand total,
@@ -277,14 +304,11 @@ type sumBuilder struct {
 	cur    *program.Method
 	open   opBuild
 	body   []uint64 // current op's data accesses, wordAddr<<1|write
+	tail   *opSeg   // the stream's last segment, the one being filled
 }
 
-func (b *sumBuilder) init(prog *program.Program, opGuess int) {
-	b.s = &summary{
-		progSig: progSigOf(prog),
-		ops:     make([]sumOp, 0, opGuess),
-		pcs:     make([]uint32, 0, opGuess),
-	}
+func (b *sumBuilder) init(prog *program.Program) {
+	b.s = &summary{progSig: progSigOf(prog)}
 	b.prog = prog
 	b.open = opBuild{kind: opSeq, method: -1}
 	b.geo = make([][]blkGeom, prog.NumMethods())
@@ -352,18 +376,19 @@ func (b *sumBuilder) addBatch(n uint64) {
 	}
 }
 
-// growOps doubles the op/pc streams' shared capacity. Explicit
-// doubling (instead of append's large-slice growth factor) keeps the
-// total bytes ever copied proportional to the final stream size — the
-// streams are the record hot path's biggest arrays.
-func (b *sumBuilder) growOps() {
-	c := 2 * cap(b.s.ops)
-	ops := make([]sumOp, len(b.s.ops), c)
-	copy(ops, b.s.ops)
-	b.s.ops = ops
-	pcs := make([]uint32, len(b.s.pcs), c)
-	copy(pcs, b.s.pcs)
-	b.s.pcs = pcs
+// push commits one op and its pc word to the stream, starting a fresh
+// segment when the last one is full (or none exists yet). Committed
+// ops never move.
+func (b *sumBuilder) push(w, d uint64, pc uint32) {
+	s := b.s
+	k := s.n & segMask
+	if k == 0 {
+		b.tail = new(opSeg)
+		s.segs = append(s.segs, b.tail)
+	}
+	b.tail.ops[k] = sumOp{w: w, d: d}
+	b.tail.pcs[k] = pc
+	s.n++
 }
 
 // growData ensures the data table can absorb the current body,
@@ -396,9 +421,6 @@ func (b *sumBuilder) emit() {
 		// blkLines is 0, but must not leak into ext records or the
 		// ext decision).
 		nInstrs, blkPC = 0, 0
-	}
-	if len(s.ops) == cap(s.ops) {
-		b.growOps()
 	}
 	if len(s.data)+int(nData) > cap(s.data) {
 		b.growData(len(s.data) + int(nData))
@@ -439,11 +461,7 @@ func (b *sumBuilder) emit() {
 			x.pc = open.blkPC
 		}
 		s.data = append(s.data, b.body...)
-		s.ops = append(s.ops, sumOp{
-			w: uint64(open.kind) | opExtBit,
-			d: uint64(len(s.ext)),
-		})
-		s.pcs = append(s.pcs, 0)
+		b.push(uint64(open.kind)|opExtBit, uint64(len(s.ext)), 0)
 		s.ext = append(s.ext, x)
 	} else {
 		w := uint64(open.kind) |
@@ -468,8 +486,7 @@ func (b *sumBuilder) emit() {
 		if blkLines != 0 {
 			pc = uint32(blkPC<<8 | uint64(nInstrs))
 		}
-		s.ops = append(s.ops, sumOp{w: w, d: d})
-		s.pcs = append(s.pcs, pc)
+		b.push(w, d, pc)
 	}
 	b.body = b.body[:0]
 }
@@ -484,10 +501,6 @@ func (b *sumBuilder) emit() {
 func (b *sumBuilder) next(kind uint8) {
 	o := &b.open
 	if !o.esc && len(b.body) < 2 && o.batch <= opBatchMax && o.brWrong <= opBrMax {
-		s := b.s
-		if len(s.ops) == cap(s.ops) {
-			b.growOps()
-		}
 		w := uint64(o.kind) |
 			o.blkLines<<opLinesShift |
 			uint64(len(b.body))<<opDataShift |
@@ -499,8 +512,7 @@ func (b *sumBuilder) next(kind uint8) {
 			d = b.body[0]
 			b.body = b.body[:0]
 		}
-		s.ops = append(s.ops, sumOp{w: w, d: d})
-		s.pcs = append(s.pcs, o.pcWord)
+		b.push(w, d, o.pcWord)
 		// Partial reset: !esc guarantees method is -1 and both masks
 		// are 0 already, and blkInstrs/blkFirst/blkPC are dead while
 		// blkLines is 0 (setBlock rewrites them all together), so only
@@ -558,10 +570,6 @@ func (b *sumBuilder) block(idx, tlbMask, missMask uint64) error {
 	g := &b.curGeo[idx]
 	if tlbMask|missMask == 0 && !g.esc && !o.esc && len(b.body) < 2 &&
 		o.batch <= opBatchMax && o.brWrong <= opBrMax {
-		s := b.s
-		if len(s.ops) == cap(s.ops) {
-			b.growOps()
-		}
 		w := uint64(o.kind) |
 			o.blkLines<<opLinesShift |
 			uint64(len(b.body))<<opDataShift |
@@ -573,8 +581,7 @@ func (b *sumBuilder) block(idx, tlbMask, missMask uint64) error {
 			d = b.body[0]
 			b.body = b.body[:0]
 		}
-		s.ops = append(s.ops, sumOp{w: w, d: d})
-		s.pcs = append(s.pcs, o.pcWord)
+		b.push(w, d, o.pcWord)
 		o.kind = opBlock
 		o.blkLines = g.lines
 		o.blkInstrs = g.instrs
@@ -633,11 +640,8 @@ func (b *sumBuilder) end(halted bool) {
 // reports, so the byte path and the summarized path fail the same
 // traces.
 func summarize(t *Trace, prog *program.Program) *summary {
-	// ~4.5 encoded bytes per boundary event across the suite's traces:
-	// sizing the op stream up front keeps the build out of append's
-	// copy-doubling regime.
 	var b sumBuilder
-	b.init(prog, t.size/4+16)
+	b.init(prog)
 	s := b.s
 
 	var prevAddr uint64
@@ -833,21 +837,28 @@ const opBoundaryMask = opExtBit | 0b101
 //
 // Listener-free replays take the fused path, which coalesces the
 // arithmetic charges of straight-line runs; replays with a block
-// listener must surface every block boundary individually.
+// listener must surface every block boundary individually. Either way
+// the range is walked one segment piece at a time. A fused run that
+// crosses a segment boundary flushes its bulk charges there, which is
+// bit-exact for the same reason span splitting is (see walkFused).
 func (w *sumWalker) walk(lo, hi int, cacheWork bool) (done bool, err error) {
-	if w.listener == nil {
-		return w.walkFused(lo, hi, cacheWork)
-	}
-	for i := lo; i < hi; i++ {
-		done, err = w.applyOp(w.s.ops[i], i, cacheWork)
-		if done || err != nil {
-			return done, err
+	for lo < hi && !done && err == nil {
+		g, k := w.s.seg(lo)
+		ops := g.ops[k:min(k+hi-lo, segOps)]
+		if w.listener == nil {
+			done, err = w.walkFused(ops, lo, cacheWork)
+		} else {
+			for j := 0; j < len(ops) && !done && err == nil; j++ {
+				done, err = w.applyOp(ops[j], lo+j, cacheWork)
+			}
 		}
+		lo += len(ops)
 	}
-	return false, nil
+	return done, err
 }
 
-// walkFused is walk for replays without a block listener. Within a
+// walkFused is walk for replays without a block listener, over one
+// segment piece ops whose first op is op base of the stream. Within a
 // straight-line run (consecutive seq/block ops — no method boundary,
 // no end marker) the frame stack is constant and every non-cache
 // charge is a sum of per-event constants over independent
@@ -863,10 +874,9 @@ func (w *sumWalker) walk(lo, hi int, cacheWork bool) (done bool, err error) {
 // surrounding arithmetic is batched. Boundary ops flush first, then
 // take the exact per-op path, so AOS hooks and reconfigurations
 // observe the same machine state as the unfused walk.
-func (w *sumWalker) walkFused(lo, hi int, cacheWork bool) (done bool, err error) {
-	mach, aos, s := w.mach, w.aos, w.s
-	ops := s.ops[:hi]
-	for i := lo; i < hi; {
+func (w *sumWalker) walkFused(ops []sumOp, base int, cacheWork bool) (done bool, err error) {
+	mach, aos := w.mach, w.aos
+	for i := 0; i < len(ops); {
 		var lines, batch, br, dtlb uint64
 		j := i
 		for ; j < len(ops); j++ {
@@ -904,10 +914,10 @@ func (w *sumWalker) walkFused(lo, hi int, cacheWork bool) (done bool, err error)
 		if br != 0 {
 			mach.ChargeMispredicts(br)
 		}
-		if j >= hi {
+		if j >= len(ops) {
 			return false, nil
 		}
-		done, err = w.applyOp(ops[j], j, cacheWork)
+		done, err = w.applyOp(ops[j], base+j, cacheWork)
 		if done || err != nil {
 			return done, err
 		}
@@ -916,9 +926,9 @@ func (w *sumWalker) walkFused(lo, hi int, cacheWork bool) (done bool, err error)
 	return false, nil
 }
 
-// applyOp replays a single op exactly: the boundary action in
-// recorded order, then the body, retire batch with sampler poll, and
-// misprediction charges.
+// applyOp replays op i of the stream, o, exactly: the boundary action
+// in recorded order, then the body, retire batch with sampler poll,
+// and misprediction charges.
 func (w *sumWalker) applyOp(o sumOp, i int, cacheWork bool) (done bool, err error) {
 	mach, aos, s := w.mach, w.aos, w.s
 	{
@@ -933,7 +943,8 @@ func (w *sumWalker) applyOp(o sumOp, i int, cacheWork bool) (done bool, err erro
 				mach.ReplayFetchCharges(n, 0, 0)
 			}
 			if w.listener != nil {
-				p := uint64(s.pcs[i])
+				g, k := s.seg(i)
+				p := uint64(g.pcs[k])
 				w.listener(p>>8, int(p&opInstrMax))
 			}
 

@@ -109,6 +109,7 @@ func TestSummarizedReplayMatchesExact(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, tr := recordedTrace(t, "jess", tc.budget)
+			requireSegments(t, tc.name, tr.summaryFor(prog))
 
 			exact := freshEnv(t, prog)
 			if err := tr.ReplayExact(exact); err != nil {
@@ -131,6 +132,7 @@ func TestSummarizedReplayMatchesExact(t *testing.T) {
 // and on truncated traces (divergence-check mode).
 func TestParallelReplayMatchesSerial(t *testing.T) {
 	prog, tr := recordedTrace(t, "jess", 0)
+	requireSegments(t, "complete", tr.summaryFor(prog))
 
 	exact := freshEnv(t, prog)
 	if err := tr.ReplayExact(exact); err != nil {
@@ -170,6 +172,7 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 	checkSameState(t, "listener-fallback", machineState(le.Mach), machineState(lp.Mach))
 
 	_, trunc := recordedTrace(t, "jess", 2_000_000)
+	requireSegments(t, "truncated", trunc.summaryFor(prog))
 	te := freshEnv(t, prog)
 	if err := trunc.ReplayExact(te); err != nil {
 		t.Fatal(err)
