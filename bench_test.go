@@ -382,20 +382,6 @@ func BenchmarkSuite(b *testing.B) {
 // summarized-block engine (the per-scheme cost of record-once /
 // replay-many).
 func BenchmarkReplay(b *testing.B) {
-	benchReplay(b, 0)
-}
-
-// BenchmarkReplayParallel is BenchmarkReplay with intra-run span
-// parallelism (4 workers): the replay splits into spans reconstructed
-// speculatively on worker goroutines and spliced back bit-for-bit.
-// On a single-core host this measures the span machinery's overhead
-// rather than a speedup.
-func BenchmarkReplayParallel(b *testing.B) {
-	benchReplay(b, 4)
-}
-
-func benchReplay(b *testing.B, intraPar int) {
-	b.Helper()
 	spec, _ := acedo.BenchmarkByName("jess")
 	spec = spec.WithMainLoops(benchLoops)
 	opt := acedo.DefaultOptions()
@@ -406,7 +392,6 @@ func benchReplay(b *testing.B, intraPar int) {
 	if tr == nil {
 		b.Fatal("baseline recording not retained")
 	}
-	opt.IntraParallelism = intraPar
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiment.ReplayScheme(spec, acedo.SchemeBaseline, opt, tr); err != nil {
@@ -444,23 +429,10 @@ func BenchmarkEngine(b *testing.B) {
 	b.ReportMetric(float64(simulated)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-// BenchmarkRecord is BenchmarkEngine with the byte recorder installed:
-// the record-once overhead of the chunked delta/varint trace encoding
-// over direct execution.
-func BenchmarkRecord(b *testing.B) {
-	benchRecord(b, rtrace.FormatBytes)
-}
-
-// BenchmarkRecordSummary is BenchmarkEngine with the direct summary
-// recorder installed: the record-once overhead when the packed
-// summarized op stream is built straight from the engine's events,
-// with no byte encoding and no decode pass.
+// BenchmarkRecordSummary is BenchmarkEngine with the recorder
+// installed: the record-once overhead of building the packed
+// summarized op stream straight from the engine's events.
 func BenchmarkRecordSummary(b *testing.B) {
-	benchRecord(b, rtrace.FormatSummary)
-}
-
-func benchRecord(b *testing.B, format rtrace.Format) {
-	b.Helper()
 	spec, _ := acedo.BenchmarkByName("compress")
 	prog, err := spec.Build()
 	if err != nil {
@@ -478,15 +450,7 @@ func benchRecord(b *testing.B, format rtrace.Format) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var rec interface {
-			vm.Recorder
-			Finish(halted bool) (*rtrace.Trace, error)
-		}
-		if format == rtrace.FormatBytes {
-			rec = rtrace.NewRecorder()
-		} else {
-			rec = rtrace.NewSummaryRecorder(prog, 0)
-		}
+		rec := rtrace.NewSummaryRecorder(prog, 0)
 		if err := eng.SetRecorder(rec); err != nil {
 			b.Fatal(err)
 		}

@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"acedo/internal/fault"
-	"acedo/internal/rtrace"
 	"acedo/internal/server"
 	"acedo/internal/server/cluster"
 )
@@ -56,8 +55,6 @@ func main() {
 		maxJobs   = flag.Int("max-jobs", 0, "retained job records (0 = default 1024)")
 		dataDir   = flag.String("data-dir", "", "crash-safe mode: persist results and journal jobs under this directory")
 		svcFaults = flag.String("service-faults", "", "JSON fault plan injecting service-level faults (disk errors, torn writes, HTTP latency/500s, stream disconnects)")
-		intraPar  = flag.Int("intra-par", 0, "goroutines per trace replay inside a job (0/1 = serial; results are bit-identical at any setting)")
-		traceFmt  = flag.String("trace-format", "", "recorder format for job recordings: summary (direct-built, default) or bytes (results are bit-identical either way)")
 		drain     = flag.Duration("drain-timeout", 10*time.Minute, "max wait for in-flight jobs on shutdown")
 		quiet     = flag.Bool("q", false, "suppress per-job log lines")
 		nodeID    = flag.String("node-id", "", "this node's cluster identity (requires -peers)")
@@ -68,11 +65,6 @@ func main() {
 	var logw io.Writer = os.Stderr
 	if *quiet {
 		logw = nil
-	}
-	format, err := rtrace.ParseFormat(*traceFmt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acelabd: %v\n", err)
-		os.Exit(2)
 	}
 	var plan *fault.Plan
 	if *svcFaults != "" {
@@ -89,16 +81,14 @@ func main() {
 		os.Exit(2)
 	}
 	srv, err := server.New(server.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheBytes:       *cacheMB << 20,
-		MaxJobs:          *maxJobs,
-		IntraParallelism: *intraPar,
-		TraceFormat:      format,
-		DataDir:          *dataDir,
-		ServiceFaults:    plan,
-		Cluster:          clu,
-		Log:              logw,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		CacheBytes:    *cacheMB << 20,
+		MaxJobs:       *maxJobs,
+		DataDir:       *dataDir,
+		ServiceFaults: plan,
+		Cluster:       clu,
+		Log:           logw,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acelabd: %v\n", err)

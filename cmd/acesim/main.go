@@ -19,7 +19,6 @@ import (
 
 	"acedo/internal/experiment"
 	"acedo/internal/fault"
-	"acedo/internal/rtrace"
 	"acedo/internal/telemetry"
 	"acedo/internal/workload"
 )
@@ -39,8 +38,6 @@ func run() int {
 	interval := flag.Uint64("interval", 0, "interval-metric sampling period in retired instructions (0 = the L1D reconfiguration interval)")
 	faults := flag.String("faults", "", "arm the fault-injection plan in this JSON file (chaos testing)")
 	noReplay := flag.Bool("noreplay", false, "with -scheme all: disable the record-once/replay-many fast path")
-	traceFormat := flag.String("traceformat", "", "recorder format: summary (direct-built, default) or bytes (results are bit-identical either way)")
-	intraPar := flag.Int("intrapar", 0, "goroutines per trace replay (0/1 = serial; results are bit-identical at any setting)")
 	deadline := flag.Duration("deadline", 0, "wall-clock limit per run, e.g. 60s (0 = unbounded)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -81,13 +78,6 @@ func run() int {
 	opt.TelemetryInterval = *interval
 	opt.Deadline = *deadline
 	opt.NoReplay = *noReplay
-	opt.IntraParallelism = *intraPar
-	format, err := rtrace.ParseFormat(*traceFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acesim: %v\n", err)
-		return 2
-	}
-	opt.TraceFormat = format
 	if *faults != "" {
 		plan, err := fault.LoadPlan(*faults)
 		if err != nil {

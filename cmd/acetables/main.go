@@ -22,7 +22,6 @@ import (
 
 	"acedo/internal/experiment"
 	"acedo/internal/fault"
-	"acedo/internal/rtrace"
 	"acedo/internal/workload"
 )
 
@@ -38,8 +37,6 @@ func run() int {
 	jsonOut := flag.String("json", "", "write the suite's schema-stable bench snapshot JSON to this file instead of tables (\"-\" = stdout)")
 	runMeta := flag.Bool("runmeta", false, "include per-run wall time and record/replay disposition in the -json snapshot (schema-additive fields)")
 	noReplay := flag.Bool("noreplay", false, "disable the record-once/replay-many fast path and execute every scheme directly")
-	intraPar := flag.Int("intrapar", 0, "goroutines per trace replay (0/1 = serial; results are bit-identical at any setting)")
-	traceFormat := flag.String("traceformat", "", "recorder format: summary (direct-built, default) or bytes (results are bit-identical either way)")
 	faults := flag.String("faults", "", "arm the fault-injection plan in this JSON file (chaos testing)")
 	detectors := flag.Bool("detectors", false, "run the phase-detector comparison (BBV vs working-set signatures vs hotspot)")
 	quiet := flag.Bool("q", false, "suppress per-benchmark progress lines on stderr")
@@ -67,13 +64,6 @@ func run() int {
 		opt = opt.WithThreeCU()
 	}
 	opt.NoReplay = *noReplay
-	opt.IntraParallelism = *intraPar
-	format, err := rtrace.ParseFormat(*traceFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acetables: %v\n", err)
-		return 2
-	}
-	opt.TraceFormat = format
 	if *faults != "" {
 		plan, err := fault.LoadPlan(*faults)
 		if err != nil {

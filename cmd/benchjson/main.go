@@ -20,7 +20,9 @@
 // trajectory's high-water mark — so a PR can't claim a win merely by
 // diffing against a slow ancestor. -override name=pct loosens (or
 // tightens) the threshold for one benchmark, for known-noisy
-// wall-clock-dominated suites.
+// wall-clock-dominated suites. A benchmark whose code was deleted
+// (the retired list) prints "retired" instead of failing as missing,
+// so the committed records never need rewriting.
 package main
 
 import (
@@ -321,6 +323,16 @@ func (o overrideFlag) Set(s string) error {
 	return nil
 }
 
+// retired lists the benchmarks deleted along with the code they
+// measured, each with the change that removed it. Committed OLD
+// records still carry them; the gate reports them as retired rather
+// than missing. The list is fixed in code so that retiring a
+// benchmark is a reviewed change, never a command-line escape hatch.
+var retired = map[string]string{
+	"BenchmarkRecord":         "byte-format recorder deleted; BenchmarkRecordSummary measures the one recorder",
+	"BenchmarkReplayParallel": "span-parallel replay deleted; it never beat serial BenchmarkReplay",
+}
+
 // compareRecords prints a per-benchmark delta table and returns false
 // when any benchmark regresses beyond its threshold: a drop in the
 // gated higher-is-better metric when the records report it, otherwise
@@ -348,6 +360,10 @@ func compareRecords(w io.Writer, olds []*Record, new_ *Record, metric string, th
 	fmt.Fprintf(w, "%-28s %15s %15s %9s\n", "benchmark", "old", "new", "delta")
 	for _, name := range names {
 		nb, ok := newBy[name]
+		if !ok && retired[name] != "" {
+			fmt.Fprintf(w, "%-28s %15s %15s %9s\n", name, "-", "retired", "-")
+			continue
+		}
 		if !ok {
 			fmt.Fprintf(w, "%-28s %15s %15s %9s\n", name, "-", "missing", "-")
 			pass = false

@@ -130,6 +130,34 @@ func TestCompareMissingBenchmarkFails(t *testing.T) {
 	}
 }
 
+// TestCompareRetiredBenchmarkPasses: a benchmark on the retired list
+// that the new record lacks prints "retired" and does not fail the
+// gate, while an unretired missing benchmark in the same comparison
+// still does.
+func TestCompareRetiredBenchmarkPasses(t *testing.T) {
+	old := record(
+		[3]any{"BenchmarkEngine", 350e6, 200.0},
+		[3]any{"BenchmarkReplayParallel", 77e6, 0.0},
+	)
+	new_ := record([3]any{"BenchmarkEngine", 350e6, 200.0})
+	var b strings.Builder
+	if !compareRecords(&b, []*Record{old}, new_, "Minstr/s", 15, nil) {
+		t.Errorf("retired benchmark failed the gate:\n%s", b.String())
+	}
+	if !strings.Contains(b.String(), "retired") {
+		t.Errorf("retired benchmark not reported as retired:\n%s", b.String())
+	}
+
+	old = record(
+		[3]any{"BenchmarkReplayParallel", 77e6, 0.0},
+		[3]any{"BenchmarkSuite", 1e9, 0.0},
+	)
+	b.Reset()
+	if compareRecords(&b, []*Record{old}, new_, "Minstr/s", 15, nil) {
+		t.Errorf("unretired missing benchmark passed:\n%s", b.String())
+	}
+}
+
 func TestOverrideFlagParsing(t *testing.T) {
 	o := overrideFlag{}
 	if err := o.Set("BenchmarkSuite=25"); err != nil {

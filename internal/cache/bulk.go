@@ -1,12 +1,10 @@
 // Bulk access paths for the summarized-block replay engine
 // (internal/rtrace): residency-checked whole-footprint application,
-// canonical per-set views for speculative span verification, and the
-// splice primitives that graft a span's privately simulated cache
-// evolution back onto the live cache bit-for-bit.
+// plus the canonical per-set view replay differential tests compare.
 package cache
 
 // FootLine is one distinct cache line of a block instance's data
-// footprint, precomputed when a trace is summarized: the line's byte
+// footprint, precomputed when a trace is recorded: the line's byte
 // address, the 1-based position of the instance's *last* access to it
 // (among the instance's accesses to this cache), and whether any of
 // those accesses wrote it.
@@ -74,7 +72,7 @@ func (c *Cache) TryApplyFootprint(foot []FootLine, accesses uint64) bool {
 }
 
 // MaxFootprint bounds the footprint size TryApplyFootprint accepts;
-// the summarizer marks larger instances exact-only.
+// the recorder marks larger instances exact-only.
 const MaxFootprint = 32
 
 // LineView is one valid line of a set in canonical form (ViewSet).
@@ -87,19 +85,13 @@ type LineView struct {
 	Dirty bool
 }
 
-// SetOf returns the set index the byte address addr maps to under the
-// current configuration.
-func (c *Cache) SetOf(addr uint64) uint64 {
-	return (addr >> c.blockShift) & c.setMask
-}
-
 // ViewSet returns the set's valid lines ordered LRU-first (ascending
 // last-use). Way positions are deliberately absent: two caches whose
 // sets hold the same tags in the same recency order with the same
 // dirty bits behave identically on every future access sequence, so
-// this ordered view is the canonical state the span-parallel replay
-// compares and splices (way placement only permutes victim identity
-// between lines that are equal in the view).
+// this ordered view is the canonical set state. It is the accessor
+// the replay differential tests dump every set through when they
+// compare a replayed machine against the recording run's.
 func (c *Cache) ViewSet(set uint64) []LineView {
 	base := int(set) * c.ways
 	view := make([]LineView, 0, c.ways)
@@ -120,53 +112,5 @@ func (c *Cache) ViewSet(set uint64) []LineView {
 	return view
 }
 
-// StoreSet overwrites one set with the given lines (at most Ways,
-// already carrying their final last-use ticks): lines fill the ways in
-// order and the remaining ways are invalidated. Used by the span
-// splice to install a verified span's final set state.
-func (c *Cache) StoreSet(set uint64, lines []LineView) {
-	base := int(set) * c.ways
-	for i := 0; i < c.ways; i++ {
-		if i < len(lines) {
-			c.lines[base+i] = line{
-				tag:     lines[i].Tag,
-				lastUse: lines[i].LastUse,
-				valid:   true,
-				dirty:   lines[i].Dirty,
-			}
-		} else {
-			c.lines[base+i] = line{}
-		}
-	}
-}
-
 // Tick returns the cache's LRU clock (one tick per access).
 func (c *Cache) Tick() uint64 { return c.useTick }
-
-// AdvanceTick advances the LRU clock by n accesses without touching
-// any line — the span splice's bulk equivalent of the per-access
-// increment.
-func (c *Cache) AdvanceTick(n uint64) { c.useTick += n }
-
-// AddStats adds a span's privately accumulated event-counter deltas.
-func (c *Cache) AddStats(d Stats) {
-	c.stats.Accesses += d.Accesses
-	c.stats.Hits += d.Hits
-	c.stats.Misses += d.Misses
-	c.stats.Writebacks += d.Writebacks
-	c.stats.Resizes += d.Resizes
-	c.stats.FlushWritebacks += d.FlushWritebacks
-}
-
-// Sub returns s minus start, field-wise — the event-count delta
-// between two Stats readings of the same cache.
-func (s Stats) Sub(start Stats) Stats {
-	return Stats{
-		Accesses:        s.Accesses - start.Accesses,
-		Hits:            s.Hits - start.Hits,
-		Misses:          s.Misses - start.Misses,
-		Writebacks:      s.Writebacks - start.Writebacks,
-		Resizes:         s.Resizes - start.Resizes,
-		FlushWritebacks: s.FlushWritebacks - start.FlushWritebacks,
-	}
-}

@@ -151,31 +151,11 @@ func (t *Timing) MispredictN(n uint64) {
 	t.branchCycles += n * t.cfg.MispredictPenalty
 }
 
-// L1MissN charges n L1 misses that hit in L2 in one call. The
-// per-event exposed latency is a pure function of the configuration
-// and the current window multiplier — both constant between
-// reconfiguration boundaries — so the bulk charge is bit-exact with n
-// sequential L1Miss calls.
-func (t *Timing) L1MissN(n uint64) {
-	if n == 0 {
-		return
-	}
-	t.stallsL1 += n
-	t.stallCycles += n * scale(t.cfg.L2HitLatency, t.cfg.L2Exposure*t.windowMult)
-}
-
-// L2MissN charges n L2 misses in one call (bit-exact with n L2Miss
-// calls; see L1MissN).
-func (t *Timing) L2MissN(n uint64) {
-	if n == 0 {
-		return
-	}
-	t.stallsL2 += n
-	t.stallCycles += n * scale(t.cfg.MemLatency, t.cfg.MemExposure*t.windowMult)
-}
-
-// TLBMissN charges n TLB misses in one call (bit-exact with n TLBMiss
-// calls; see L1MissN).
+// TLBMissN charges n TLB misses in one call. The per-event exposed
+// latency is a pure function of the configuration and the current
+// window multiplier — both constant between reconfiguration
+// boundaries — so the bulk charge is bit-exact with n sequential
+// TLBMiss calls.
 func (t *Timing) TLBMissN(n uint64) {
 	if n == 0 {
 		return

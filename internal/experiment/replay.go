@@ -40,7 +40,6 @@ type traceKey struct {
 	mach     uint64
 	maxInstr uint64
 	depth    int
-	format   rtrace.Format
 }
 
 func traceKeyFor(spec workload.Spec, opt Options) traceKey {
@@ -53,17 +52,12 @@ func traceKeyFor(spec workload.Spec, opt Options) traceKey {
 		mach:     hm.Sum64(),
 		maxInstr: opt.MaxInstr,
 		depth:    opt.VM.MaxCallDepth,
-		// The two formats replay identically, but a cached trace's
-		// DirectBuilt/Size telemetry must reflect the format the
-		// caller asked for, so they cache under separate keys.
-		format: opt.TraceFormat,
 	}
 }
 
 // traceCacheBudget bounds the process-wide trace cache's resident
-// memory — the decoded summary arrays included, since cached traces
-// are primed for replay (rtrace.Trace.MemBytes, not just the encoded
-// bytes). Once the budget is reached, further recordings simply
+// memory (rtrace.Trace.MemBytes: each trace's op stream and side
+// tables). Once the budget is reached, further recordings simply
 // aren't retained (first-come retention — no eviction, keeping cached
 // replays deterministic). A var only so the admission test can shrink
 // it; never mutated outside tests.
@@ -71,10 +65,8 @@ var traceCacheBudget = 1 << 30
 
 var traceCache = struct {
 	sync.Mutex
-	m          map[traceKey]*rtrace.Trace
-	size       int
-	direct     uint64
-	summarized uint64
+	m    map[traceKey]*rtrace.Trace
+	size int
 }{m: make(map[traceKey]*rtrace.Trace)}
 
 func cachedTrace(k traceKey) *rtrace.Trace {
@@ -95,11 +87,6 @@ func storeTrace(k traceKey, t *rtrace.Trace) {
 	}
 	traceCache.m[k] = t
 	traceCache.size += mem
-	if t.DirectBuilt() {
-		traceCache.direct++
-	} else {
-		traceCache.summarized++
-	}
 }
 
 // resetTraceCache empties the process-wide trace cache (tests only).
@@ -108,34 +95,22 @@ func resetTraceCache() {
 	defer traceCache.Unlock()
 	traceCache.m = make(map[traceKey]*rtrace.Trace)
 	traceCache.size = 0
-	traceCache.direct = 0
-	traceCache.summarized = 0
 }
 
 // TraceCacheStats is a point-in-time view of the process-wide trace
 // cache, exported on acelabd's /metrics and in acetables -runmeta.
 type TraceCacheStats struct {
 	// Entries is the number of cached traces; Bytes their resident
-	// memory (encoded bytes plus decoded summary arrays).
+	// memory (rtrace.Trace.MemBytes).
 	Entries int
 	Bytes   int
-	// DirectBuilt counts cached traces whose summary was built at
-	// record time (FormatSummary); Summarized counts byte-recorded
-	// traces summarized on the decode-once path (FormatBytes).
-	DirectBuilt uint64
-	Summarized  uint64
 }
 
 // CurrentTraceCacheStats snapshots the process-wide trace cache.
 func CurrentTraceCacheStats() TraceCacheStats {
 	traceCache.Lock()
 	defer traceCache.Unlock()
-	return TraceCacheStats{
-		Entries:     len(traceCache.m),
-		Bytes:       traceCache.size,
-		DirectBuilt: traceCache.direct,
-		Summarized:  traceCache.summarized,
-	}
+	return TraceCacheStats{Entries: len(traceCache.m), Bytes: traceCache.size}
 }
 
 // RunSchemes runs one benchmark under several schemes with the
@@ -268,12 +243,9 @@ func ReplayScheme(spec workload.Spec, scheme Scheme, opt Options, tr *rtrace.Tra
 }
 
 // recordRun executes one run directly while capturing its
-// architectural trace in the format opt.TraceFormat selects. A trace
-// the recorder could not take (or a truncated run whose recording
-// failed to finalise) yields a nil trace alongside the still-valid
-// result. The returned trace is primed — its summary resolved against
-// the run's program — so MemBytes reflects the full replay footprint
-// at cache-admission time.
+// architectural trace. A trace the recorder could not take (or a
+// truncated run whose recording failed to finalise) yields a nil trace
+// alongside the still-valid result.
 func recordRun(spec workload.Spec, scheme Scheme, opt Options) (*Result, *rtrace.Trace, error) {
 	start := time.Now()
 	var tr *rtrace.Trace
@@ -286,15 +258,7 @@ func recordRun(spec workload.Spec, scheme Scheme, opt Options) (*Result, *rtrace
 		if err != nil {
 			return nil, fmt.Errorf("experiment %s/%s: %w", spec.Name, scheme, err)
 		}
-		var rec interface {
-			vm.Recorder
-			Finish(halted bool) (*rtrace.Trace, error)
-		}
-		if opt.TraceFormat == rtrace.FormatBytes {
-			rec = rtrace.NewRecorder()
-		} else {
-			rec = rtrace.NewSummaryRecorder(st.prog, opt.MaxInstr)
-		}
+		rec := rtrace.NewSummaryRecorder(st.prog, opt.MaxInstr)
 		if err := eng.SetRecorder(rec); err != nil {
 			return nil, fmt.Errorf("experiment %s/%s: %w", spec.Name, scheme, err)
 		}
@@ -305,7 +269,6 @@ func recordRun(spec workload.Spec, scheme Scheme, opt Options) (*Result, *rtrace
 			return nil, err
 		}
 		if t, ferr := rec.Finish(eng.Halted()); ferr == nil {
-			t.Prime(st.prog)
 			tr = t
 		}
 		return st.finish(), nil
@@ -335,12 +298,7 @@ func replayOrFallback(spec workload.Spec, scheme Scheme, opt Options, tr *rtrace
 		env := rtrace.Env{
 			Prog: st.prog, Mach: st.mach, AOS: st.aos, BlockListener: st.listener,
 		}
-		if opt.IntraParallelism > 1 {
-			err = tr.ReplayParallel(env, opt.IntraParallelism)
-		} else {
-			err = tr.Replay(env)
-		}
-		if err != nil {
+		if err := tr.Replay(env); err != nil {
 			return nil, err
 		}
 		return st.finish(), nil

@@ -232,3 +232,30 @@ func TestRunSuiteProgressShowsDispositions(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayFaultMatrix is the replay differential matrix: for each
+// workload × fault-plan cell, the summarized replay must produce the
+// same result as direct execution (NoReplay) for every scheme. Fault
+// plans perturb sampling, signatures, and unit requests — the
+// adaptation machinery the replay engine must reproduce
+// event-for-event around its bulk fast paths.
+func TestReplayFaultMatrix(t *testing.T) {
+	plans := map[string]*fault.Plan{
+		"nofault": nil,
+		"mixed": {Seed: 17, Rules: []fault.Rule{
+			{Point: fault.PointUnitRequest, Kind: fault.KindReject, Prob: 0.3},
+			{Point: fault.PointTimerSample, Kind: fault.KindDrop, Prob: 0.2},
+			{Point: fault.PointBBVSignature, Kind: fault.KindBitFlip, Every: 5},
+		}},
+	}
+	for _, bench := range []string{"jess", "db"} {
+		for name, plan := range plans {
+			t.Run(bench+"/"+name, func(t *testing.T) {
+				opt := DefaultOptions()
+				opt.Faults = plan
+				replayed, direct := compareBoth(t, shortSpec(t, bench), opt)
+				checkSameRuns(t, replayed, direct)
+			})
+		}
+	}
+}

@@ -24,7 +24,6 @@ import (
 	"acedo/internal/fault"
 	"acedo/internal/machine"
 	"acedo/internal/program"
-	"acedo/internal/rtrace"
 	"acedo/internal/telemetry"
 	"acedo/internal/vm"
 	"acedo/internal/workload"
@@ -115,20 +114,6 @@ type Options struct {
 	// same cap to fan per-scheme trace replays out in parallel.
 	Parallelism int
 
-	// IntraParallelism, when > 1, splits each single trace replay
-	// across that many goroutines (rtrace.Trace.ReplayParallel): the
-	// run's summarized op stream is partitioned into spans replayed
-	// speculatively against private cache clones and reconciled in
-	// order on the issuing goroutine. Results are bit-identical at any
-	// setting — spans that cannot be verified, schemes whose AOS is
-	// not passive, and runs with a block listener silently replay
-	// serially — so the knob only trades CPU for per-run latency.
-	// Composes with Parallelism (inter-run fan-out); the product
-	// bounds total goroutines, so oversubscribing both is wasteful.
-	// 0 or 1 disables intra-run splitting. Recording and direct runs
-	// are unaffected.
-	IntraParallelism int
-
 	// Cancel, when non-nil, aborts the run when the channel is closed
 	// (or receives): the engine executes in instruction-budget chunks —
 	// the same chunked drive the Deadline machinery uses — and checks
@@ -145,19 +130,10 @@ type Options struct {
 	// trace once and replaying it per scheme. Replay is bit-exact
 	// (the differential tests pin replayed snapshots, DO databases,
 	// and telemetry against direct execution), so this switch only
-	// trades wall-clock time for paranoia. Single-run Run calls
-	// always execute directly.
+	// trades wall-clock time for paranoia — and supplies the direct
+	// runs those differentials, and the replay-check gate, compare
+	// against. Single-run Run calls always execute directly.
 	NoReplay bool
-
-	// TraceFormat selects the vm.Recorder implementation recording
-	// runs install: rtrace.FormatSummary (the zero value) builds the
-	// packed summarized op stream directly at record time, while
-	// rtrace.FormatBytes keeps the delta/varint byte encoder and
-	// summarizes lazily on first replay. Both formats replay
-	// bit-identically (the record-check gate diffs their snapshots),
-	// so — like IntraParallelism — the knob is a pure performance
-	// choice and deliberately stays out of job identity hashes.
-	TraceFormat rtrace.Format
 }
 
 // DefaultOptions returns the standard experiment configuration at the

@@ -25,25 +25,20 @@ type BenchSnapshot struct {
 
 	Benchmarks []BenchmarkSnapshot `json:"benchmarks"`
 
-	// TraceFormat and TraceCache are optional run metadata, filled only
-	// by SnapshotWithMeta (e.g. `acetables -json -runmeta`): the
-	// recorder format the evaluation ran with and the process-wide
-	// record-once trace cache's state after it. Plain Snapshot omits
-	// both, keeping default snapshots byte-identical across recorder
-	// formats and the schema additive.
-	TraceFormat string              `json:"trace_format,omitempty"`
-	TraceCache  *TraceCacheSnapshot `json:"trace_cache,omitempty"`
+	// TraceCache is optional run metadata, filled only by
+	// SnapshotWithMeta (e.g. `acetables -json -runmeta`): the
+	// process-wide record-once trace cache's state after the
+	// evaluation. Plain Snapshot omits it, keeping default snapshots
+	// byte-identical between replayed and direct runs and the schema
+	// additive.
+	TraceCache *TraceCacheSnapshot `json:"trace_cache,omitempty"`
 }
 
 // TraceCacheSnapshot gauges the process-wide record-once trace cache
-// at snapshot time: resident recordings and their memory charge
-// (decoded summaries included), split by how many were direct-built at
-// record time versus decoded from byte streams.
+// at snapshot time: resident recordings and their memory charge.
 type TraceCacheSnapshot struct {
-	Entries     int    `json:"entries"`
-	Bytes       int    `json:"bytes"`
-	DirectBuilt uint64 `json:"direct_built"`
-	Summarized  uint64 `json:"summarized"`
+	Entries int `json:"entries"`
+	Bytes   int `json:"bytes"`
 }
 
 // BenchmarkSnapshot is one benchmark's three runs plus the derived
@@ -140,14 +135,8 @@ func (r *SuiteResults) SnapshotWithMeta() BenchSnapshot {
 		fill(&s.Benchmarks[i].BBV, c.BBVRun)
 		fill(&s.Benchmarks[i].Hotspot, c.HotRun)
 	}
-	s.TraceFormat = r.Options.TraceFormat.String()
 	tc := CurrentTraceCacheStats()
-	s.TraceCache = &TraceCacheSnapshot{
-		Entries:     tc.Entries,
-		Bytes:       tc.Bytes,
-		DirectBuilt: tc.DirectBuilt,
-		Summarized:  tc.Summarized,
-	}
+	s.TraceCache = &TraceCacheSnapshot{Entries: tc.Entries, Bytes: tc.Bytes}
 	return s
 }
 

@@ -6,13 +6,12 @@ import (
 	"acedo/internal/rtrace"
 )
 
-// recordFor records one baseline run of the named benchmark in the
-// given format and returns its primed trace.
-func recordFor(t *testing.T, name string, format rtrace.Format) *rtrace.Trace {
+// recordFor records one baseline run of the named benchmark and
+// returns its trace.
+func recordFor(t *testing.T, name string) *rtrace.Trace {
 	t.Helper()
 	spec := shortSpec(t, name)
 	opt := DefaultOptions()
-	opt.TraceFormat = format
 	_, tr, err := recordRun(spec, SchemeBaseline, opt)
 	if err != nil {
 		t.Fatalf("recordRun %s: %v", name, err)
@@ -32,41 +31,29 @@ func TestTraceCacheBudgetValue(t *testing.T) {
 	}
 }
 
-// TestTraceCacheChargesMemBytes: the cache budget must charge a
-// trace's full resident memory — for a direct-built trace the encoded
-// Size is 0 and only MemBytes sees the summary arrays, so admission
-// accounting on Size would charge nothing at all.
+// TestTraceCacheChargesMemBytes: the cache budget must charge each
+// trace's full resident memory (MemBytes: the summary's op stream and
+// side tables).
 func TestTraceCacheChargesMemBytes(t *testing.T) {
 	resetTraceCache()
 	defer resetTraceCache()
 
-	tr := recordFor(t, "jess", rtrace.FormatSummary)
-	if tr.Size() != 0 || tr.MemBytes() == 0 {
-		t.Fatalf("direct trace Size=%d MemBytes=%d, want 0 and >0", tr.Size(), tr.MemBytes())
+	tr := recordFor(t, "jess")
+	if tr.MemBytes() == 0 {
+		t.Fatal("trace MemBytes = 0, want its summary footprint")
 	}
 	storeTrace(traceKey{spec: 1}, tr)
-
 	st := CurrentTraceCacheStats()
 	if st.Entries != 1 || st.Bytes != tr.MemBytes() {
-		t.Errorf("stats after direct store = %+v, want 1 entry of %d bytes", st, tr.MemBytes())
-	}
-	if st.DirectBuilt != 1 || st.Summarized != 0 {
-		t.Errorf("format counters = direct %d / summarized %d, want 1 / 0", st.DirectBuilt, st.Summarized)
+		t.Errorf("stats after first store = %+v, want 1 entry of %d bytes", st, tr.MemBytes())
 	}
 
-	// A primed byte trace charges encoded bytes plus its summary.
-	btr := recordFor(t, "jess", rtrace.FormatBytes)
-	if btr.MemBytes() <= btr.Size() {
-		t.Fatalf("primed byte trace MemBytes=%d, want > Size=%d", btr.MemBytes(), btr.Size())
-	}
-	storeTrace(traceKey{spec: 2}, btr)
+	tr2 := recordFor(t, "db")
+	storeTrace(traceKey{spec: 2}, tr2)
 	st = CurrentTraceCacheStats()
-	if st.Entries != 2 || st.Bytes != tr.MemBytes()+btr.MemBytes() {
-		t.Errorf("stats after byte store = %+v, want 2 entries of %d bytes",
-			st, tr.MemBytes()+btr.MemBytes())
-	}
-	if st.DirectBuilt != 1 || st.Summarized != 1 {
-		t.Errorf("format counters = direct %d / summarized %d, want 1 / 1", st.DirectBuilt, st.Summarized)
+	if st.Entries != 2 || st.Bytes != tr.MemBytes()+tr2.MemBytes() {
+		t.Errorf("stats after second store = %+v, want 2 entries of %d bytes",
+			st, tr.MemBytes()+tr2.MemBytes())
 	}
 }
 
@@ -81,7 +68,7 @@ func TestTraceCacheAdmissionBudget(t *testing.T) {
 		resetTraceCache()
 	}()
 
-	tr := recordFor(t, "jess", rtrace.FormatSummary)
+	tr := recordFor(t, "jess")
 	traceCacheBudget = tr.MemBytes() + tr.MemBytes()/2
 
 	storeTrace(traceKey{spec: 1}, tr)
@@ -92,7 +79,7 @@ func TestTraceCacheAdmissionBudget(t *testing.T) {
 	// unchanged.
 	storeTrace(traceKey{spec: 2}, tr)
 	st := CurrentTraceCacheStats()
-	if st.Entries != 1 || st.Bytes != tr.MemBytes() || st.DirectBuilt != 1 {
+	if st.Entries != 1 || st.Bytes != tr.MemBytes() {
 		t.Errorf("over-budget store changed stats: %+v", st)
 	}
 	// Storing under an existing key is idempotent.
@@ -102,81 +89,60 @@ func TestTraceCacheAdmissionBudget(t *testing.T) {
 	}
 }
 
-// TestSnapshotMetaTraceCache: the trace-cache gauges and recorder
-// format ride only on SnapshotWithMeta — the plain schema-stable
-// snapshot must omit them, so default `acetables -json` output stays
-// byte-identical across recorder formats (the record-check gate diffs
-// exactly that output).
+// TestSnapshotMetaTraceCache: the trace-cache gauges ride only on
+// SnapshotWithMeta — the plain schema-stable snapshot must omit them,
+// so default `acetables -json` output stays byte-identical between
+// replayed and direct runs (the replay-check gate diffs exactly that
+// output).
 func TestSnapshotMetaTraceCache(t *testing.T) {
 	resetTraceCache()
 	defer resetTraceCache()
-	tr := recordFor(t, "jess", rtrace.FormatSummary)
+	tr := recordFor(t, "jess")
 	storeTrace(traceKey{spec: 1}, tr)
 
 	res := &SuiteResults{Options: DefaultOptions()}
-	if s := res.Snapshot(); s.TraceCache != nil || s.TraceFormat != "" {
-		t.Errorf("plain snapshot carries run metadata: format=%q cache=%+v", s.TraceFormat, s.TraceCache)
+	if s := res.Snapshot(); s.TraceCache != nil {
+		t.Errorf("plain snapshot carries run metadata: cache=%+v", s.TraceCache)
 	}
 	s := res.SnapshotWithMeta()
-	if s.TraceFormat != "summary" {
-		t.Errorf("meta snapshot trace_format = %q, want %q", s.TraceFormat, "summary")
-	}
 	if s.TraceCache == nil {
 		t.Fatal("meta snapshot has no trace_cache block")
 	}
-	if s.TraceCache.Entries != 1 || s.TraceCache.Bytes != tr.MemBytes() ||
-		s.TraceCache.DirectBuilt != 1 || s.TraceCache.Summarized != 0 {
-		t.Errorf("trace_cache block = %+v, want 1 entry of %d bytes, 1 direct-built", s.TraceCache, tr.MemBytes())
+	if s.TraceCache.Entries != 1 || s.TraceCache.Bytes != tr.MemBytes() {
+		t.Errorf("trace_cache block = %+v, want 1 entry of %d bytes", s.TraceCache, tr.MemBytes())
 	}
 }
 
-// TestTraceFormatsCacheSeparately: the format is part of the trace
-// key, so a byte-format job never replays a direct-built trace (and
-// vice versa) even for an otherwise identical run.
-func TestTraceFormatsCacheSeparately(t *testing.T) {
-	spec := shortSpec(t, "jess")
-	opt := DefaultOptions()
-	sumKey := traceKeyFor(spec, opt)
-	opt.TraceFormat = rtrace.FormatBytes
-	byteKey := traceKeyFor(spec, opt)
-	if sumKey == byteKey {
-		t.Fatal("summary and byte formats share a trace key")
-	}
-}
-
-// TestRunSchemesBothFormats: RunSchemes must produce bit-identical
-// results whichever recorder format the options select, from cold
-// caches, with the non-baseline schemes actually replaying.
-func TestRunSchemesBothFormats(t *testing.T) {
+// TestRunSchemesReplayMatchesDirect: from a cold trace cache,
+// RunSchemes records with the first scheme and replays the rest, and
+// every result must be bit-identical to direct execution.
+func TestRunSchemesReplayMatchesDirect(t *testing.T) {
 	spec := shortSpec(t, "db")
 	schemes := []Scheme{SchemeBaseline, SchemeBBV, SchemeHotspot}
 
-	run := func(format rtrace.Format) []*Result {
-		resetTraceCache()
-		opt := DefaultOptions()
-		opt.TraceFormat = format
-		rs, err := RunSchemes(spec, opt, schemes)
-		if err != nil {
-			t.Fatalf("RunSchemes(%v): %v", format, err)
-		}
-		return rs
-	}
-	sum := run(rtrace.FormatSummary)
-	byt := run(rtrace.FormatBytes)
 	resetTraceCache()
-
+	defer resetTraceCache()
+	opt := DefaultOptions()
+	replayed, err := RunSchemes(spec, opt, schemes)
+	if err != nil {
+		t.Fatalf("RunSchemes: %v", err)
+	}
+	opt.NoReplay = true
+	direct, err := RunSchemes(spec, opt, schemes)
+	if err != nil {
+		t.Fatalf("RunSchemes (direct): %v", err)
+	}
 	for i := range schemes {
-		if !sameSim(sum[i], byt[i]) {
-			t.Errorf("%s: summary-format run differs from byte-format:\nsummary = %+v\nbytes   = %+v",
-				schemes[i], sum[i], byt[i])
+		if !sameSim(replayed[i], direct[i]) {
+			t.Errorf("%s: replayed run differs from direct:\nreplay = %+v\ndirect = %+v",
+				schemes[i], replayed[i], direct[i])
 		}
-		if i > 0 {
-			if sum[i].Disposition != RunReplayed {
-				t.Errorf("%s (summary): disposition = %q, want %q", schemes[i], sum[i].Disposition, RunReplayed)
-			}
-			if byt[i].Disposition != RunReplayed {
-				t.Errorf("%s (bytes): disposition = %q, want %q", schemes[i], byt[i].Disposition, RunReplayed)
-			}
+		want := RunReplayed
+		if i == 0 {
+			want = RunRecorded
+		}
+		if replayed[i].Disposition != want {
+			t.Errorf("%s: disposition = %q, want %q", schemes[i], replayed[i].Disposition, want)
 		}
 	}
 }

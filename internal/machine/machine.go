@@ -627,20 +627,16 @@ func (m *Machine) ReplayBranch(correct bool) {
 	}
 }
 
-// ReplayFetchCharges applies the state-independent charges of a
-// recorded fetch walk in bulk: per-line I-cache read energy, I-TLB
-// miss stalls, and L1I miss stalls. The summarized replay fast path
-// uses it for walks whose recorded miss mask is empty (no L2 traffic,
-// so the walk is pure arithmetic); the span-parallel spine uses it for
-// every walk, with the recorded L1I misses' L2 traffic simulated by
-// the span worker instead. Each bulk charge is bit-exact with the
+// ReplayFetchCharges applies the charges of a recorded fetch walk
+// whose miss mask is empty in bulk: per-line I-cache read energy and
+// I-TLB miss stalls. With no L1I miss there is no L2 traffic, so the
+// walk is pure arithmetic, and each bulk charge is bit-exact with the
 // per-line sequence (independent integer counters and repeated
 // identical-constant accumulation — see power.Meter.AccessRepeat and
 // cpu.Timing's N-variants).
-func (m *Machine) ReplayFetchCharges(lines, tlbMisses, l1iMisses uint64) {
+func (m *Machine) ReplayFetchCharges(lines, tlbMisses uint64) {
 	m.Timing.TLBMissN(tlbMisses)
 	m.ML1I.AccessRepeat(lines)
-	m.Timing.L1MissN(l1iMisses)
 }
 
 // TryReplayDataFootprint applies a summarized block instance's whole
@@ -668,20 +664,6 @@ func (m *Machine) ChargeDataTLBMisses(n uint64) { m.Timing.TLBMissN(n) }
 // ChargeMispredicts charges n recorded branch mispredictions in bulk
 // (the summarized equivalent of n ReplayBranch(false) calls).
 func (m *Machine) ChargeMispredicts(n uint64) { m.Timing.MispredictN(n) }
-
-// SpliceSpanCharges grafts a verified speculative span's cache-
-// dependent charges onto the live machine: the span's data accesses
-// (L1D energy), its L1D misses and L2 misses (exposed stall cycles),
-// and its L2 accesses (L2 energy), all counted by the span worker's
-// private simulation. Bulk charges are bit-exact with the interleaved
-// per-event sequence because every accumulator involved is either an
-// integer counter or a repeated identical-constant float sum.
-func (m *Machine) SpliceSpanCharges(l1dAccesses, l1dMisses, l2Accesses, l2Misses uint64) {
-	m.ML1D.AccessRepeat(l1dAccesses)
-	m.Timing.L1MissN(l1dMisses)
-	m.ML2.AccessRepeat(l2Accesses)
-	m.Timing.L2MissN(l2Misses)
-}
 
 // Snapshot is a point-in-time reading of the measures the tuning code
 // samples at hotspot boundaries: retired instructions, cycles, and the

@@ -268,13 +268,6 @@ type RunStats struct {
 // every candidate evaluation a replay of the recorded stream. The spec
 // must be normalised; the returned document is a pure function of
 // (workload, base options, space, spec) — seeded and parallel-safe.
-//
-// base.IntraParallelism rides through to every replay: passive runs
-// (the recorded baseline served from the trace cache) split across
-// goroutines, while hotspot candidate evaluations — whose AOS feeds
-// decisions back into the machine — automatically take the serial
-// summarized path. Either way results are bit-identical at any
-// setting, so the document is unchanged by the knob.
 func RunBench(w workload.Spec, base experiment.Options, space Space, spec Spec, progress Progress) (*BenchResult, *RunStats, error) {
 	if err := space.Validate(); err != nil {
 		return nil, nil, err

@@ -1,11 +1,6 @@
-// Direct summarization: a second vm.Recorder that builds the packed
-// summarized op stream (summary.go) straight from the engine's event
-// callbacks, skipping both the delta/varint byte encoding and the
-// decode-once summarization pass. The byte recorder survives as the
-// oracle format — record-check and the fuzz differential prove the
-// direct-built summary is op-for-op identical to summarize-after-
-// decode — and the shared sumBuilder state machine makes the two
-// construction paths structurally incapable of drifting apart.
+// The recorder: SummaryRecorder folds the engine's event callbacks
+// straight into a sumBuilder, so a recording run ends with the packed
+// summarized op stream (summary.go) that every replay walks.
 package rtrace
 
 import (
@@ -17,50 +12,10 @@ import (
 	"acedo/internal/vm"
 )
 
-// Format selects which vm.Recorder implementation a recording run
-// installs. It is a pure performance knob: both formats yield traces
-// whose replays are byte-identical, so it deliberately stays out of
-// job spec hashing (like Options.IntraParallelism).
-type Format int
-
-const (
-	// FormatSummary (the default) records with SummaryRecorder,
-	// building the packed summarized op stream directly at record
-	// time with no byte encoding and no decode pass.
-	FormatSummary Format = iota
-	// FormatBytes records with the chunked delta/varint byte encoder
-	// (Recorder), summarizing lazily on first replay — the original
-	// path, retained as the differential oracle.
-	FormatBytes
-)
-
-// String returns the flag spelling of the format.
-func (f Format) String() string {
-	switch f {
-	case FormatSummary:
-		return "summary"
-	case FormatBytes:
-		return "bytes"
-	}
-	return fmt.Sprintf("Format(%d)", int(f))
-}
-
-// ParseFormat parses a -traceformat flag value ("summary" or "bytes").
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "summary", "":
-		return FormatSummary, nil
-	case "bytes":
-		return FormatBytes, nil
-	}
-	return 0, fmt.Errorf("rtrace: unknown trace format %q (want summary or bytes)", s)
-}
-
-// summaryMaxMemBytes bounds direct-built summaries the way
-// summaryMaxTraceBytes bounds summarized byte traces: the decoded op
-// stream costs roughly 6× the encoded bytes, so the two limits gate
-// the same recordings whichever recorder captured them.
-const summaryMaxMemBytes = 6 * summaryMaxTraceBytes
+// summaryMaxMemBytes bounds a recording's resident summary: a
+// recording whose op stream and side tables outgrow it fails Finish,
+// and its run executes directly instead of being cached for replay.
+const summaryMaxMemBytes = 576 << 20
 
 // summaryMemBytes is the summary's resident size: the bytes allocated
 // for it, not the bytes in use — every op-stream segment in full, and
@@ -75,103 +30,85 @@ func summaryMemBytes(s *summary) int {
 		cap(s.data)*8 + cap(s.foot)*footBytes
 }
 
-// MemBytes reports the trace's resident memory: the encoded chunk
-// bytes plus the decoded summary's op stream and side tables once
-// built. Direct-built traces have no chunks, so this is the number
-// cache budgets and telemetry must charge — Size() alone would be 0.
-func (t *Trace) MemBytes() int {
-	n := t.size
-	if st := t.sumState; st != nil {
-		st.mu.Lock()
-		if st.built && st.sum != nil {
-			n += summaryMemBytes(st.sum)
-		}
-		st.mu.Unlock()
-	}
-	return n
-}
+// MemBytes reports the trace's resident memory: its summary's op
+// stream and side tables — the number cache budgets and telemetry
+// charge.
+func (t *Trace) MemBytes() int { return summaryMemBytes(t.sum) }
 
-// DirectBuilt reports whether the trace was captured by
-// SummaryRecorder (no byte encoding exists; ReplayExact is
-// unavailable and Replay always takes the summarized path).
-func (t *Trace) DirectBuilt() bool { return t.direct }
-
-// Prime eagerly resolves the trace's summary against prog (a no-op on
-// direct-built traces, whose summary exists from Finish). Callers that
-// cache traces call it so MemBytes reflects the decoded footprint at
-// admission time rather than after the first replay.
-func (t *Trace) Prime(prog *program.Program) { t.summaryFor(prog) }
+// Prime is a no-op kept for callers that prepare cached traces: a
+// trace's summary is complete from Finish, so MemBytes already
+// reflects its full replay footprint.
+func (t *Trace) Prime(prog *program.Program) {}
 
 // SummaryRecorder implements vm.Recorder by feeding the engine's
-// event stream straight into a sumBuilder — the identical state
-// machine summarize() drives from the byte stream — so Finish yields
-// a Trace whose summary already exists, op-for-op identical to what
-// recording with Recorder and summarizing on first replay would have
-// produced. Event validation errors cannot occur on engine-driven
-// streams (the engine only reports in-range methods and blocks), but
-// are still surfaced through Finish for hand-driven use.
+// event stream straight into a sumBuilder, so Finish yields a Trace
+// whose summary already exists. Event validation errors cannot occur
+// on engine-driven streams (the engine only reports in-range methods
+// and blocks), but are still surfaced through Finish for hand-driven
+// use.
 type SummaryRecorder struct {
-	b       sumBuilder
-	events  uint64
-	dead    bool
-	invalid string
+	b      sumBuilder
+	events uint64
+	err    error // first validation failure; poisons the recording
 }
 
-// NewSummaryRecorder returns an empty direct recorder ready to
-// install on an engine running prog. instrHint is unused: the op
-// stream grows a fixed-size segment at a time and never copies, so no
-// recording needs its length guessed up front.
+// NewSummaryRecorder returns an empty recorder ready to install on an
+// engine running prog. instrHint is unused: the op stream grows a
+// fixed-size segment at a time and never copies, so no recording needs
+// its length guessed up front.
 func NewSummaryRecorder(prog *program.Program, instrHint uint64) *SummaryRecorder {
 	r := &SummaryRecorder{}
 	r.b.init(prog)
 	return r
 }
 
-// fail poisons the recording; Finish reports the first reason. The
+// errWideBlock rejects a block the fetch masks cannot describe.
+var errWideBlock = fmt.Errorf("%w: basic block spans more than 64 I-lines", ErrMalformed)
+
+// fail poisons the recording; Finish reports the first error. The
 // builder stops advancing so later events cannot corrupt its frame
 // tracking.
-func (r *SummaryRecorder) fail(reason string) {
-	if !r.dead {
-		r.dead = true
-		r.invalid = reason
+func (r *SummaryRecorder) fail(err error) {
+	if r.err == nil {
+		r.err = err
 	}
 }
 
 // RecordEnter records a method entry and its first block's fetch
 // outcomes (vm.Recorder).
 func (r *SummaryRecorder) RecordEnter(id program.MethodID, tlbMask, missMask uint64, ok bool) {
-	if r.dead {
+	if r.err != nil {
 		return
 	}
 	if !ok {
-		r.fail("basic block spans more than 64 I-lines")
+		r.fail(errWideBlock)
 		return
 	}
 	r.events++
 	if err := r.b.enter(uint64(id), tlbMask, missMask); err != nil {
-		r.fail(err.Error())
+		r.fail(err)
 	}
 }
 
 // RecordBlock records an intra-method block entry and its fetch
 // outcomes (vm.Recorder).
 func (r *SummaryRecorder) RecordBlock(idx int, tlbMask, missMask uint64, ok bool) {
-	if r.dead {
+	if r.err != nil {
 		return
 	}
 	if !ok {
-		r.fail("basic block spans more than 64 I-lines")
+		r.fail(errWideBlock)
 		return
 	}
 	r.events++
 	if err := r.b.block(uint64(idx), tlbMask, missMask); err != nil {
-		r.fail(err.Error())
+		r.fail(err)
 	}
 }
 
 // RecordBatch records a retire batch of n instructions (vm.Recorder).
 func (r *SummaryRecorder) RecordBatch(n uint64) {
-	if r.dead {
+	if r.err != nil {
 		return
 	}
 	r.events++
@@ -181,7 +118,7 @@ func (r *SummaryRecorder) RecordBatch(n uint64) {
 // RecordData records one data access and its D-TLB outcome
 // (vm.Recorder).
 func (r *SummaryRecorder) RecordData(wordAddr uint64, write, tlbMiss bool) {
-	if r.dead {
+	if r.err != nil {
 		return
 	}
 	r.events++
@@ -198,7 +135,7 @@ func (r *SummaryRecorder) RecordData(wordAddr uint64, write, tlbMiss bool) {
 // RecordBranch records a conditional branch's predictor verdict
 // (vm.Recorder).
 func (r *SummaryRecorder) RecordBranch(correct bool) {
-	if r.dead {
+	if r.err != nil {
 		return
 	}
 	r.events++
@@ -211,7 +148,7 @@ func (r *SummaryRecorder) RecordBranch(correct bool) {
 // (vm.Recorder): the packed data accesses, the retire batch, and the
 // terminating branch verdict, in stream order.
 func (r *SummaryRecorder) RecordBody(data []uint64, n uint64, branch int8) {
-	if r.dead {
+	if r.err != nil {
 		return
 	}
 	r.events += uint64(len(data)) + 1
@@ -233,45 +170,39 @@ func (r *SummaryRecorder) RecordBody(data []uint64, n uint64, branch int8) {
 
 // RecordExit records a method return (vm.Recorder).
 func (r *SummaryRecorder) RecordExit() {
-	if r.dead {
+	if r.err != nil {
 		return
 	}
 	r.events++
 	if err := r.b.exit(); err != nil {
-		r.fail(err.Error())
+		r.fail(err)
 	}
 }
 
 // RecordHalt records an explicit halt (vm.Recorder).
 func (r *SummaryRecorder) RecordHalt() {
-	if r.dead {
+	if r.err != nil {
 		return
 	}
 	r.events++
 	r.b.halt()
 }
 
-// Finish seals the recording into an immutable Trace whose summary is
-// already built — Replay and ReplayParallel use it directly, with no
-// decode pass. halted reports whether the program ran to completion
-// (vm.Engine.Halted); a non-halted recording is marked truncated.
-// Finish fails when the stream hit an unencodable case or when the
-// summary outgrew the memory bound the byte path enforces via
-// summaryMaxTraceBytes, in which case the run must not be replayed.
+// Finish seals the recording into an immutable Trace. halted reports
+// whether the program ran to completion (vm.Engine.Halted); a
+// non-halted recording is marked truncated. Finish fails — with an
+// error wrapping ErrMalformed — when the stream hit a case the op
+// stream cannot represent, and also when the summary outgrew
+// summaryMaxMemBytes; either way the run must not be replayed.
 func (r *SummaryRecorder) Finish(halted bool) (*Trace, error) {
-	if r.dead {
-		return nil, fmt.Errorf("rtrace: recording unusable: %s", r.invalid)
+	if r.err != nil {
+		return nil, fmt.Errorf("rtrace: recording unusable: %w", r.err)
 	}
 	r.b.end(halted)
 	s := r.b.s
 	r.b = sumBuilder{}
 	if mem := summaryMemBytes(s); mem > summaryMaxMemBytes {
-		return nil, fmt.Errorf("rtrace: recording unusable: direct-built summary needs %d bytes (limit %d)", mem, summaryMaxMemBytes)
+		return nil, fmt.Errorf("rtrace: recording unusable: summary needs %d bytes (limit %d)", mem, summaryMaxMemBytes)
 	}
-	return &Trace{
-		events:    r.events,
-		truncated: !halted,
-		direct:    true,
-		sumState:  &sumState{built: true, sum: s},
-	}, nil
+	return &Trace{sum: s, events: r.events, truncated: !halted}, nil
 }

@@ -1,6 +1,7 @@
 package rtrace
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -13,8 +14,8 @@ import (
 )
 
 // benchEngine builds a benchmark's program and a fresh engine to run
-// it on.
-func benchEngine(t *testing.T, bench string) (*program.Program, *vm.Engine) {
+// it on, returning the engine's machine too.
+func benchEngine(t *testing.T, bench string) (*program.Program, *vm.Engine, *machine.Machine) {
 	t.Helper()
 	spec, ok := workload.ByName(bench)
 	if !ok {
@@ -33,11 +34,11 @@ func benchEngine(t *testing.T, bench string) (*program.Program, *vm.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, eng
+	return prog, eng, mach
 }
 
-// recordDirect runs eng under a fresh direct recorder (with no size
-// hint, like every production caller) and seals the trace.
+// recordDirect runs eng under a fresh recorder (with no size hint,
+// like every production caller) and seals the trace.
 func recordDirect(t *testing.T, prog *program.Program, eng *vm.Engine, budget uint64) *Trace {
 	t.Helper()
 	rec := NewSummaryRecorder(prog, 0)
@@ -54,11 +55,13 @@ func recordDirect(t *testing.T, prog *program.Program, eng *vm.Engine, budget ui
 	return tr
 }
 
-// directTrace is recordedTrace with the direct summary recorder
-// installed instead of the byte encoder.
+// directTrace records bench on a fresh engine and returns its program
+// and sealed trace. A zero budget runs to completion (complete trace);
+// a non-zero budget yields a truncated trace, which replays in
+// divergence-checking mode.
 func directTrace(t *testing.T, bench string, budget uint64) (*program.Program, *Trace) {
 	t.Helper()
-	prog, eng := benchEngine(t, bench)
+	prog, eng, _ := benchEngine(t, bench)
 	return prog, recordDirect(t, prog, eng, budget)
 }
 
@@ -67,7 +70,7 @@ func directTrace(t *testing.T, bench string, budget uint64) (*program.Program, *
 // program and engine built beforehand so neither counts.
 func measuredRecording(t *testing.T, bench string) (tr *Trace, allocated, live int64) {
 	t.Helper()
-	prog, eng := benchEngine(t, bench)
+	prog, eng, _ := benchEngine(t, bench)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -86,93 +89,159 @@ func requireSegments(t *testing.T, label string, s *summary) {
 	if len(s.segs) < 3 {
 		t.Fatalf("%s: %d ops in %d segments, want at least 3 segments", label, s.n, len(s.segs))
 	}
-	for i := segOps; i < s.n; i += segOps {
-		before, k := s.seg(i - 1)
-		after, _ := s.seg(i)
-		if before.ops[k].w&opBoundaryMask == 0 && after.ops[0].w&opBoundaryMask == 0 {
+	for k := 1; k < len(s.segs); k++ {
+		last := s.segs[k-1].ops[segOps-1]
+		first := s.segs[k].ops[0]
+		if last.w&opBoundaryMask == 0 && first.w&opBoundaryMask == 0 {
 			return
 		}
 	}
 	t.Fatalf("%s: no segment boundary falls inside a fused run", label)
 }
 
-// checkSameSummary asserts two summaries are op-for-op identical:
-// every packed op word and datum, the pc stream, and the ext, data,
-// and footprint side tables.
-func checkSameSummary(t *testing.T, label string, want, got *summary) {
-	t.Helper()
-	if want == nil || got == nil {
-		t.Fatalf("%s: nil summary (want %v, got %v)", label, want != nil, got != nil)
-	}
-	if want.err != nil || got.err != nil {
-		t.Fatalf("%s: summary errors: want %v, got %v", label, want.err, got.err)
-	}
-	if want.n != got.n || len(want.segs) != len(got.segs) {
-		t.Fatalf("%s: op count %d in %d segments, want %d in %d", label, got.n, len(got.segs), want.n, len(want.segs))
-	}
-	for i := 0; i < want.n; i++ {
-		wg, k := want.seg(i)
-		gg, _ := got.seg(i)
-		if wg.ops[k] != gg.ops[k] {
-			t.Fatalf("%s: op %d = %+v, want %+v", label, i, gg.ops[k], wg.ops[k])
-		}
-		if wg.pcs[k] != gg.pcs[k] {
-			t.Fatalf("%s: pc %d = %#x, want %#x", label, i, gg.pcs[k], wg.pcs[k])
-		}
-	}
-	if !reflect.DeepEqual(want.ext, got.ext) {
-		t.Errorf("%s: ext tables differ (%d vs %d records)", label, len(want.ext), len(got.ext))
-	}
-	if !reflect.DeepEqual(want.data, got.data) {
-		t.Errorf("%s: data tables differ (%d vs %d accesses)", label, len(want.data), len(got.data))
-	}
-	if !reflect.DeepEqual(want.foot, got.foot) {
-		t.Errorf("%s: footprint tables differ (%d vs %d lines)", label, len(want.foot), len(got.foot))
-	}
-	if want.retired != got.retired {
-		t.Errorf("%s: retired total %d, want %d", label, got.retired, want.retired)
-	}
-	if want.progSig != got.progSig {
-		t.Errorf("%s: progSig %x, want %x", label, got.progSig, want.progSig)
-	}
+// blockLog folds every block-listener call into an order-sensitive
+// hash, so two runs fired the listener identically exactly when their
+// counts and hashes match.
+type blockLog struct {
+	n, h uint64
 }
 
-// TestDirectSummaryOpIdentical is the tentpole's differential gate:
-// across every suite workload, complete and truncated, the summary the
-// direct recorder builds at record time must be op-for-op identical to
-// the one summarize() decodes from the byte recorder's stream of the
-// same run — same packed words, same ext escapes, same side tables,
-// same event count and truncation flag.
-func TestDirectSummaryOpIdentical(t *testing.T) {
-	budgets := []uint64{0, 2_000_000}
+func (l *blockLog) listen(pc uint64, instrs int) {
+	l.n++
+	l.h = (l.h^pc)*1099511628211 ^ uint64(instrs)
+}
+
+// TestReplayMatchesRecording is the replay engine's differential gate,
+// with direct execution as the oracle: across every suite workload,
+// complete and truncated, a trace replayed into a fresh machine must
+// leave it bit-identical to the recording run's own machine — snapshot
+// counters, L1D/L2 stats and LRU clocks, every set's content, and the
+// timing breakdown — both on the fused path and with a block listener,
+// which must also fire exactly as the recording run's did.
+func TestReplayMatchesRecording(t *testing.T) {
 	for _, spec := range workload.Suite() {
-		for _, budget := range budgets {
+		for _, budget := range []uint64{0, 2_000_000} {
 			label := spec.Name
 			if budget != 0 {
 				label += "/truncated"
 			}
-			prog, byteTr := recordedTrace(t, spec.Name, budget)
-			_, directTr := directTrace(t, spec.Name, budget)
+			prog, eng, mach := benchEngine(t, spec.Name)
+			var direct blockLog
+			eng.SetBlockListener(direct.listen)
+			tr := recordDirect(t, prog, eng, budget)
+			if tr.Truncated() != (budget != 0) {
+				t.Errorf("%s: truncated = %v", label, tr.Truncated())
+			}
+			requireSegments(t, label, tr.summaryFor(prog))
+			want := machineState(mach)
 
-			if byteTr.Truncated() != directTr.Truncated() {
-				t.Errorf("%s: truncated %v, want %v", label, directTr.Truncated(), byteTr.Truncated())
+			fused := freshEnv(t, prog)
+			if err := tr.Replay(fused); err != nil {
+				t.Fatalf("%s: fused replay: %v", label, err)
 			}
-			if byteTr.Events() != directTr.Events() {
-				t.Errorf("%s: events %d, want %d", label, directTr.Events(), byteTr.Events())
+			checkSameState(t, label+"/fused", want, machineState(fused.Mach))
+
+			var replayed blockLog
+			listened := freshEnv(t, prog)
+			listened.BlockListener = replayed.listen
+			if err := tr.Replay(listened); err != nil {
+				t.Fatalf("%s: listener replay: %v", label, err)
 			}
-			if !directTr.DirectBuilt() || byteTr.DirectBuilt() {
-				t.Errorf("%s: DirectBuilt flags wrong", label)
+			checkSameState(t, label+"/listener", want, machineState(listened.Mach))
+			if direct.n == 0 || replayed != direct {
+				t.Errorf("%s: listener fired %d times (hash %x), recording fired %d (hash %x)",
+					label, replayed.n, replayed.h, direct.n, direct.h)
 			}
-			requireSegments(t, label, directTr.summaryFor(prog))
-			checkSameSummary(t, label, byteTr.summaryFor(prog), directTr.summaryFor(prog))
 		}
 	}
 }
 
-// TestDirectReplayMatchesByteOracle: replaying a direct-built trace —
-// serial, span-parallel, and with a block listener — must leave the
-// machine bit-identical to the byte oracle's ReplayExact of the same
-// run.
+// checkSameSummary fails unless two summaries are op-identical: the
+// same op and pc streams, side tables, and program fingerprint.
+func checkSameSummary(t *testing.T, label string, want, got *summary) {
+	t.Helper()
+	if want == nil || got == nil {
+		t.Fatalf("%s: missing summary (want %v, got %v)", label, want != nil, got != nil)
+	}
+	if got.n != want.n || len(got.segs) != len(want.segs) {
+		t.Fatalf("%s: %d ops in %d segments, want %d in %d", label, got.n, len(got.segs), want.n, len(want.segs))
+	}
+	for si := range want.segs {
+		n := min(segOps, want.n-si<<segShift)
+		w, g := want.segs[si], got.segs[si]
+		for j := 0; j < n; j++ {
+			if w.ops[j] != g.ops[j] || w.pcs[j] != g.pcs[j] {
+				t.Fatalf("%s: op %d differs: got %+v pc %#x, want %+v pc %#x",
+					label, si<<segShift+j, g.ops[j], g.pcs[j], w.ops[j], w.pcs[j])
+			}
+		}
+	}
+	if !reflect.DeepEqual(got.ext, want.ext) {
+		t.Errorf("%s: ext table differs (%d vs %d records)", label, len(got.ext), len(want.ext))
+	}
+	if !reflect.DeepEqual(got.data, want.data) {
+		t.Errorf("%s: data table differs (%d vs %d accesses)", label, len(got.data), len(want.data))
+	}
+	if !reflect.DeepEqual(got.foot, want.foot) {
+		t.Errorf("%s: footprint table differs (%d vs %d lines)", label, len(got.foot), len(want.foot))
+	}
+	if got.progSig != want.progSig {
+		t.Errorf("%s: progSig %#x, want %#x", label, got.progSig, want.progSig)
+	}
+}
+
+// TestDirectSummaryOpIdentical: the summary a recording builds depends
+// only on the run's architectural stream. Across every suite workload,
+// complete and truncated, a recording made on a plain engine with no
+// size hint and one made on an engine with a block listener attached
+// and an instruction-count hint must be op-identical, with the same
+// event count and truncation flag.
+func TestDirectSummaryOpIdentical(t *testing.T) {
+	for _, spec := range workload.Suite() {
+		for _, budget := range []uint64{0, 2_000_000} {
+			label := spec.Name
+			if budget != 0 {
+				label += "/truncated"
+			}
+			prog, eng, mach := benchEngine(t, spec.Name)
+			plain := recordDirect(t, prog, eng, budget)
+
+			prog2, eng, _ := benchEngine(t, spec.Name)
+			var log blockLog
+			eng.SetBlockListener(log.listen)
+			rec := NewSummaryRecorder(prog2, mach.Instructions())
+			if err := eng.SetRecorder(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Run(budget); err != nil && err != vm.ErrBudget {
+				t.Fatal(err)
+			}
+			listened, err := rec.Finish(eng.Halted())
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if log.n == 0 {
+				t.Errorf("%s: block listener never fired", label)
+			}
+			if listened.Truncated() != plain.Truncated() {
+				t.Errorf("%s: truncated %v, want %v", label, listened.Truncated(), plain.Truncated())
+			}
+			if listened.Events() != plain.Events() {
+				t.Errorf("%s: events %d, want %d", label, listened.Events(), plain.Events())
+			}
+			requireSegments(t, label, plain.summaryFor(prog))
+			checkSameSummary(t, label, plain.summaryFor(prog), listened.summaryFor(prog))
+		}
+	}
+}
+
+// TestDirectReplayMatchesByteOracle checks replay against an oracle
+// independent of the recording: a direct run of the program on a fresh
+// engine with no recorder attached. On jess, complete and truncated,
+// the replayed machine must match the oracle's bit for bit, on the
+// fused path and with a block listener, and the listener must fire
+// exactly as it did in the oracle run.
 func TestDirectReplayMatchesByteOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -182,68 +251,69 @@ func TestDirectReplayMatchesByteOracle(t *testing.T) {
 		{"truncated", 2_000_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			prog, byteTr := recordedTrace(t, "jess", tc.budget)
-			_, directTr := directTrace(t, "jess", tc.budget)
-			requireSegments(t, tc.name, directTr.summaryFor(prog))
+			prog, tr := directTrace(t, "jess", tc.budget)
+			requireSegments(t, tc.name, tr.summaryFor(prog))
 
-			exact := freshEnv(t, prog)
-			if err := byteTr.ReplayExact(exact); err != nil {
-				t.Fatalf("ReplayExact: %v", err)
-			}
-			want := machineState(exact.Mach)
-
-			serial := freshEnv(t, prog)
-			if err := directTr.Replay(serial); err != nil {
-				t.Fatalf("Replay: %v", err)
-			}
-			checkSameState(t, "direct-serial", want, machineState(serial.Mach))
-
-			par := freshEnv(t, prog)
-			if err := directTr.ReplayParallel(par, 4); err != nil {
-				t.Fatalf("ReplayParallel: %v", err)
-			}
-			checkSameState(t, "direct-parallel", want, machineState(par.Mach))
-
-			nb, nd := 0, 0
-			lb := freshEnv(t, prog)
-			lb.BlockListener = func(uint64, int) { nb++ }
-			if err := byteTr.Replay(lb); err != nil {
+			_, eng, mach := benchEngine(t, "jess")
+			var direct blockLog
+			eng.SetBlockListener(direct.listen)
+			if err := eng.Run(tc.budget); err != nil && err != vm.ErrBudget {
 				t.Fatal(err)
 			}
-			ld := freshEnv(t, prog)
-			ld.BlockListener = func(uint64, int) { nd++ }
-			if err := directTr.Replay(ld); err != nil {
-				t.Fatal(err)
+			if eng.Halted() == tr.Truncated() {
+				t.Errorf("oracle halted = %v, trace truncated = %v", eng.Halted(), tr.Truncated())
 			}
-			if nb == 0 || nb != nd {
-				t.Errorf("listener fired %d times on direct trace, want %d (non-zero)", nd, nb)
+			want := machineState(mach)
+
+			fused := freshEnv(t, prog)
+			if err := tr.Replay(fused); err != nil {
+				t.Fatalf("fused replay: %v", err)
 			}
-			checkSameState(t, "direct-listener", machineState(lb.Mach), machineState(ld.Mach))
+			checkSameState(t, "fused", want, machineState(fused.Mach))
+
+			var replayed blockLog
+			listened := freshEnv(t, prog)
+			listened.BlockListener = replayed.listen
+			if err := tr.Replay(listened); err != nil {
+				t.Fatalf("listener replay: %v", err)
+			}
+			checkSameState(t, "listener", want, machineState(listened.Mach))
+			if direct.n == 0 || replayed != direct {
+				t.Errorf("listener fired %d times (hash %x), oracle fired %d (hash %x)",
+					replayed.n, replayed.h, direct.n, direct.h)
+			}
 		})
 	}
 }
 
-// TestDirectTraceMemBytes: a direct-built trace has no encoded bytes,
-// so MemBytes (what cache budgets charge) must count the summary's
-// arrays, and a byte trace's MemBytes must grow once Prime decodes its
-// summary.
-func TestDirectTraceMemBytes(t *testing.T) {
-	prog, directTr := directTrace(t, "db", 500_000)
-	if directTr.Size() != 0 {
-		t.Errorf("direct trace Size = %d, want 0", directTr.Size())
+// TestReplayMalformed: a trace replays only against the program it was
+// recorded from. Any other program must fail with an error wrapping
+// ErrMalformed — the class the experiment layer falls back to direct
+// execution on.
+func TestReplayMalformed(t *testing.T) {
+	_, tr := directTrace(t, "jess", 200_000)
+	spec, _ := workload.ByName("db")
+	other, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if directTr.MemBytes() == 0 {
-		t.Error("direct trace MemBytes = 0, want summary footprint")
+	if err := tr.Replay(freshEnv(t, other)); !errors.Is(err, ErrMalformed) {
+		t.Errorf("replay against a mismatched program: err = %v, want ErrMalformed", err)
 	}
+}
 
-	_, byteTr := recordedTrace(t, "db", 500_000)
-	encoded := byteTr.MemBytes()
-	if encoded != byteTr.Size() {
-		t.Errorf("unprimed byte trace MemBytes = %d, want Size %d", encoded, byteTr.Size())
+// TestDirectTraceMemBytes: MemBytes (what cache budgets charge) must
+// count the summary's arrays, and Prime must leave it unchanged — the
+// summary is complete from Finish.
+func TestDirectTraceMemBytes(t *testing.T) {
+	prog, tr := directTrace(t, "db", 500_000)
+	mem := tr.MemBytes()
+	if mem == 0 {
+		t.Error("trace MemBytes = 0, want summary footprint")
 	}
-	byteTr.Prime(prog)
-	if primed := byteTr.MemBytes(); primed <= encoded {
-		t.Errorf("primed byte trace MemBytes = %d, want > %d", primed, encoded)
+	tr.Prime(prog)
+	if got := tr.MemBytes(); got != mem {
+		t.Errorf("MemBytes after Prime = %d, want unchanged %d", got, mem)
 	}
 }
 
@@ -276,21 +346,17 @@ func TestRecordDoesNotCopyOpStream(t *testing.T) {
 	}
 }
 
-// TestSummaryBudgetValues pins the documented summarization bounds:
-// byte traces above 96 MiB keep the byte-replay path, and the direct
-// recorder's memory bound is the matching 6× decoded-size limit.
+// TestSummaryBudgetValues pins the documented recording bound: a
+// summary above 576 MiB fails Finish and its run executes directly.
 func TestSummaryBudgetValues(t *testing.T) {
-	if summaryMaxTraceBytes != 96<<20 {
-		t.Errorf("summaryMaxTraceBytes = %d, want %d (96 MiB; update the docs with it)", summaryMaxTraceBytes, 96<<20)
-	}
-	if summaryMaxMemBytes != 6*summaryMaxTraceBytes {
-		t.Errorf("summaryMaxMemBytes = %d, want 6x summaryMaxTraceBytes", summaryMaxMemBytes)
+	if summaryMaxMemBytes != 576<<20 {
+		t.Errorf("summaryMaxMemBytes = %d, want %d (576 MiB; update the docs with it)", summaryMaxMemBytes, 576<<20)
 	}
 }
 
-// TestDirectRecorderInvalid: an unencodable event (a block spanning
-// more than 64 I-lines) must poison the recording so Finish fails,
-// exactly like the byte recorder.
+// TestDirectRecorderInvalid: an unencodable method entry (a first
+// block spanning more than 64 I-lines) must poison the recording so
+// Finish fails with ErrMalformed.
 func TestDirectRecorderInvalid(t *testing.T) {
 	spec, _ := workload.ByName("db")
 	prog, err := spec.Build()
@@ -299,7 +365,7 @@ func TestDirectRecorderInvalid(t *testing.T) {
 	}
 	r := NewSummaryRecorder(prog, 0)
 	r.RecordEnter(0, 0, 0, false)
-	if _, err := r.Finish(true); err == nil {
-		t.Error("Finish succeeded on an unencodable stream")
+	if _, err := r.Finish(true); !errors.Is(err, ErrMalformed) {
+		t.Errorf("Finish on an unencodable stream: err = %v, want ErrMalformed", err)
 	}
 }

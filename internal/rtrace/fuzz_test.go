@@ -3,8 +3,6 @@ package rtrace
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"reflect"
 	"testing"
 
 	"acedo/internal/machine"
@@ -14,8 +12,8 @@ import (
 )
 
 // fuzzProg is built once: the fuzz target needs a real program to
-// resolve block indices against, but a fresh machine per input (the
-// replay mutates it).
+// resolve methods and blocks against, but a fresh machine per input
+// (the replay mutates it).
 var fuzzProg = func() *program.Program {
 	spec, ok := workload.ByName("jess")
 	if !ok {
@@ -37,14 +35,37 @@ func fuzzEnv(t *testing.T) Env {
 	return Env{Prog: fuzzProg, Mach: mach, AOS: vm.NewAOS(vm.DefaultParams(), mach, fuzzProg)}
 }
 
-// driveDirect re-decodes a byte stream into vm.Recorder calls on a
-// fresh SummaryRecorder — summarize's decode loop re-cast as the
-// engine callbacks the direct recorder would have received — and
-// returns the direct-built trace. It fails exactly where summarize
-// fails (bad operands, missing end marker, events the builder
-// rejects), making the direct path fuzzable against the decode-once
-// path on arbitrary streams, not just engine-generated ones.
-func driveDirect(data []byte) (*Trace, error) {
+// The fuzz input's call encoding: each call is one opcode byte — low 3
+// bits the call kind, high 5 bits a small inline operand (31 escapes
+// to a uvarint) — plus optional uvarint operands. Data addresses are
+// zigzag deltas against the previous data address.
+const (
+	cBlock  = 0 // RecordBlock(operand), no fetch misses
+	cBatch  = 1 // RecordBatch(operand)
+	cData   = 2 // RecordData, D-TLB hit; operand = write bit | delta<<1 (15 escapes)
+	cBranch = 3 // RecordBranch(operand bit 0)
+	cEnter  = 4 // RecordEnter(operand), no fetch misses
+	cExit   = 5 // RecordExit
+	cHalt   = 6 // RecordHalt
+	cExt    = 7 // extended call; operand = subtype
+
+	extBlockMasks = 0 // RecordBlock(idx, tlbMask, missMask)
+	extEnterMasks = 1 // RecordEnter(id, tlbMask, missMask)
+	extDataTLB    = 2 // RecordData with a D-TLB miss (write, delta)
+	extEndHalted  = 3 // Finish(true)
+	extEndBudget  = 4 // Finish(false)
+
+	escape = 31
+)
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// driveDirect maps any byte string to a vm.Recorder call sequence on a
+// fresh SummaryRecorder and seals it. The sequence ends at an end-call
+// opcode, or — when the input runs out or an operand does not decode —
+// with Finish(!truncated). batch is the saturating sum of the retire
+// batches fed in.
+func driveDirect(data []byte, truncated bool) (tr *Trace, batch uint64, err error) {
 	r := NewSummaryRecorder(fuzzProg, 0)
 	var prevAddr uint64
 	pos := 0
@@ -56,182 +77,137 @@ func driveDirect(data []byte) (*Trace, error) {
 		pos += n
 		return v, true
 	}
-	for pos < len(data) {
-		opByte := data[pos]
-		pos++
-		kind := opByte & 7
-		pay := uint64(opByte >> 3)
-
-		switch kind {
-		case kBlock, kBatch, kEnter:
-			if pay == payloadEscape {
-				v, ok := uv()
-				if !ok {
-					return nil, fmt.Errorf("bad operand at pos %d", pos)
-				}
-				pay = v
-			}
+	addBatch := func(n uint64) {
+		r.RecordBatch(n)
+		if batch+n < batch {
+			batch = ^uint64(0)
+		} else {
+			batch += n
 		}
-
+	}
+	finish := func(halted bool) (*Trace, uint64, error) {
+		tr, err := r.Finish(halted)
+		return tr, batch, err
+	}
+	for pos < len(data) {
+		op := data[pos]
+		pos++
+		kind, pay := op&7, uint64(op>>3)
+		if pay == escape && (kind == cBlock || kind == cBatch || kind == cEnter) {
+			v, ok := uv()
+			if !ok {
+				return finish(!truncated)
+			}
+			pay = v
+		}
 		switch kind {
-		case kBatch:
-			r.RecordBatch(pay)
-
-		case kData:
-			write := pay & 1
+		case cBatch:
+			addBatch(pay)
+		case cData:
 			delta := pay >> 1
 			if delta == 15 {
 				v, ok := uv()
 				if !ok {
-					return nil, fmt.Errorf("bad data delta at pos %d", pos)
+					return finish(!truncated)
 				}
 				delta = v
 			}
-			addr := uint64(int64(prevAddr) + unzigzag(delta))
-			prevAddr = addr
-			r.RecordData(addr, write != 0, false)
-
-		case kBranch:
+			prevAddr = uint64(int64(prevAddr) + unzigzag(delta))
+			r.RecordData(prevAddr, pay&1 != 0, false)
+		case cBranch:
 			r.RecordBranch(pay&1 != 0)
-
-		case kBlock:
+		case cBlock:
 			r.RecordBlock(int(pay), 0, 0, true)
-
-		case kEnter:
+		case cEnter:
 			r.RecordEnter(program.MethodID(pay), 0, 0, true)
-
-		case kExit:
+		case cExit:
 			r.RecordExit()
-
-		case kHalt:
+		case cHalt:
 			r.RecordHalt()
-
-		case kExt:
+		case cExt:
 			switch pay {
 			case extEndHalted:
-				return r.Finish(true)
+				return finish(true)
 			case extEndBudget:
-				return r.Finish(false)
-
+				return finish(false)
 			case extBlockMasks, extEnterMasks:
 				v, ok := uv()
 				tlbMask, ok2 := uv()
 				missMask, ok3 := uv()
 				if !ok || !ok2 || !ok3 {
-					return nil, fmt.Errorf("bad masked entry at pos %d", pos)
+					return finish(!truncated)
 				}
 				if pay == extBlockMasks {
 					r.RecordBlock(int(v), tlbMask, missMask, true)
 				} else {
 					r.RecordEnter(program.MethodID(v), tlbMask, missMask, true)
 				}
-
 			case extDataTLB:
 				w, ok := uv()
 				delta, ok2 := uv()
 				if !ok || !ok2 {
-					return nil, fmt.Errorf("bad D-TLB data access at pos %d", pos)
+					return finish(!truncated)
 				}
-				addr := uint64(int64(prevAddr) + unzigzag(delta))
-				prevAddr = addr
-				r.RecordData(addr, w&1 != 0, true)
-
-			default:
-				return nil, fmt.Errorf("unknown extended event %d", pay)
+				prevAddr = uint64(int64(prevAddr) + unzigzag(delta))
+				r.RecordData(prevAddr, w&1 != 0, true)
 			}
 		}
 	}
-	return nil, fmt.Errorf("missing end marker")
+	return finish(!truncated)
 }
 
-// FuzzTraceDecode is a three-way differential: arbitrary bytes feed
-// (1) the exact byte-replay oracle, (2) the decode-once summarizer,
-// and (3) the direct summary recorder, driven with the recorder calls
-// the decoded stream implies. The contract under hostile input: never
-// panic, fail only with ErrMalformed or ErrDiverged, agree on
-// accept/reject across all paths, build op-for-op identical summaries
-// on both construction paths, and leave machines in bit-identical
-// states on success. (Error classes may legitimately differ on
-// invalid streams: the summarizer validates the whole stream before
-// applying anything, so it can report a late encoding error where the
-// exact path already stopped at an earlier divergence.)
-func FuzzTraceDecode(f *testing.F) {
-	// Seeds: an empty stream, lone end markers, a tiny valid stream, a
-	// truncated stream, escaped operands, masked entries, and garbage.
+// FuzzRecorderCalls drives the recorder with arbitrary vm.Recorder call
+// sequences — including ones no engine produces — and replays whatever
+// it seals. The contract under hostile input: never panic; Finish and
+// Replay fail only with ErrMalformed or ErrDiverged; and the fused and
+// listener replays accept the same traces and leave bit-identical
+// machines.
+func FuzzRecorderCalls(f *testing.F) {
+	// Seeds: an empty sequence, lone end calls, a tiny valid sequence, a
+	// truncated one, escaped operands, masked entries, and garbage.
 	f.Add([]byte{}, false)
-	f.Add([]byte{kExt | extEndHalted<<3}, false)
-	f.Add([]byte{kExt | extEndBudget<<3}, true)
-	f.Add([]byte{kEnter, kBatch | 5<<3, kData | 6<<3, kBranch, kExit, kExt | extEndHalted<<3}, false)
-	f.Add([]byte{kEnter, kBatch | 5<<3, kHalt, kExt | extEndBudget<<3}, true)
-	f.Add([]byte{kEnter, kBatch | payloadEscape<<3, 0x80, 0x08, kExt | extEndHalted<<3}, false)
-	f.Add([]byte{kExt | extEnterMasks<<3, 0, 1, 1, kExt | extDataTLB<<3, 1, 4, kExt | extEndHalted<<3}, false)
-	f.Add([]byte{kBlock | 3<<3, kExit, kExit}, false)
+	f.Add([]byte{cExt | extEndHalted<<3}, false)
+	f.Add([]byte{cExt | extEndBudget<<3}, true)
+	f.Add([]byte{cEnter, cBatch | 5<<3, cData | 6<<3, cBranch, cExit, cExt | extEndHalted<<3}, false)
+	f.Add([]byte{cEnter, cBatch | 5<<3, cHalt, cExt | extEndBudget<<3}, true)
+	f.Add([]byte{cEnter, cBatch | escape<<3, 0x80, 0x08, cExt | extEndHalted<<3}, false)
+	f.Add([]byte{cExt | extEnterMasks<<3, 0, 1, 1, cExt | extDataTLB<<3, 1, 4, cExt | extEndHalted<<3}, false)
+	f.Add([]byte{cBlock | 3<<3, cExit, cExit}, false)
 	f.Add([]byte{0xFF, 0xFE, 0xFD, 0x01, 0x02}, true)
 
 	f.Fuzz(func(t *testing.T, data []byte, truncated bool) {
-		mk := func() *Trace {
-			return &Trace{
-				chunks:    [][]byte{data},
-				size:      len(data),
-				truncated: truncated,
-				sumState:  new(sumState),
-			}
-		}
-		// A hostile uvarint can encode a near-2^64 retire batch, and
-		// the sampler legitimately settles batch/interval deliveries —
-		// hours of looping for a 12-byte input, on every engine
-		// including the oracle. Decode once up front (the summarizer
-		// mirrors the oracle's decoder, and totalBatch counts every
-		// decoded batch — even one in an op a malformed tail never
-		// commits — so it covers exactly the prefix the oracle would
-		// execute) and skip streams whose batch total no real recording
-		// could reach.
-		// Construction-path differential (cheap — no machine): the
-		// direct recorder must accept exactly the streams the
-		// summarizer accepts and build the identical summary.
-		s := summarize(mk(), fuzzProg)
-		directTr, directErr := driveDirect(data)
-		if (s.err == nil) != (directErr == nil) {
-			t.Fatalf("construction disagreement: summarize err=%v, direct err=%v", s.err, directErr)
-		}
-		if directErr == nil {
-			checkSameSummary(t, "direct-vs-summarize", s, directTr.summaryFor(fuzzProg))
-		}
-
-		if s.totalBatch() > 10_000_000 {
-			t.Skip("absurd batch total")
-		}
 		okErr := func(label string, err error) {
 			if err != nil && !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrDiverged) {
 				t.Fatalf("%s: unexpected error class: %v", label, err)
 			}
 		}
-
-		exact := fuzzEnv(t)
-		errExact := mk().ReplayExact(exact)
-		okErr("exact", errExact)
-
-		sumEnv := fuzzEnv(t)
-		errSum := mk().Replay(sumEnv)
-		okErr("summarized", errSum)
-
-		parEnv := fuzzEnv(t)
-		errPar := mk().ReplayParallel(parEnv, 4)
-		okErr("parallel", errPar)
-
-		if (errExact == nil) != (errSum == nil) || (errExact == nil) != (errPar == nil) {
-			t.Fatalf("accept/reject disagreement: exact=%v summarized=%v parallel=%v",
-				errExact, errSum, errPar)
-		}
-		if errExact != nil {
+		tr, batch, err := driveDirect(data, truncated)
+		okErr("finish", err)
+		if err != nil {
 			return
 		}
-		want := exact.Mach.Snapshot()
-		if got := sumEnv.Mach.Snapshot(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("summarized snapshot differs:\n exact: %+v\n sum:   %+v", want, got)
+		// The sampler legitimately settles every interval a retire batch
+		// spans, so a hostile near-2^64 batch means hours of looping for
+		// a few input bytes: skip totals no real recording could reach.
+		if batch > 10_000_000 {
+			t.Skip("absurd batch total")
 		}
-		if got := parEnv.Mach.Snapshot(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("parallel snapshot differs:\n exact: %+v\n par:   %+v", want, got)
+
+		fused := fuzzEnv(t)
+		errFused := tr.Replay(fused)
+		okErr("fused", errFused)
+
+		listened := fuzzEnv(t)
+		listened.BlockListener = func(uint64, int) {}
+		errListened := tr.Replay(listened)
+		okErr("listener", errListened)
+
+		if (errFused == nil) != (errListened == nil) {
+			t.Fatalf("accept/reject disagreement: fused=%v listener=%v", errFused, errListened)
 		}
+		if errFused != nil {
+			return
+		}
+		checkSameState(t, "listener-vs-fused", machineState(fused.Mach), machineState(listened.Mach))
 	})
 }

@@ -2,9 +2,9 @@
 // recording pass captures one benchmark's architectural event stream —
 // block entries with their I-side fetch outcomes, data addresses with
 // their D-TLB outcomes, branch-predictor verdicts, retire-batch
-// lengths, and method enter/exit boundaries — into a compact chunked
-// delta-encoded trace, and a replay pass re-simulates any adaptation
-// scheme from that trace without interpreting the register file.
+// lengths, and method enter/exit boundaries — and a replay pass
+// re-simulates any adaptation scheme from that trace without
+// interpreting the register file.
 //
 // The stream is scheme-invariant because resizing the configurable
 // units (L1D, L2, IQ) changes timing and energy only, never register
@@ -17,80 +17,25 @@
 // adaptation machinery itself (AOS, sampler, managers), reproducing a
 // direct run's Snapshot, DO database, and telemetry bit-for-bit.
 //
-// Encoding: each event is one opcode byte — low 3 bits the event kind,
-// high 5 bits a small inline payload — followed by optional uvarint
-// operands. Data addresses are zigzag-deltas against the previous data
-// address. A block or method-entry event with any I-TLB or L1I miss
-// uses an extended form carrying per-line outcome bitmasks; the common
-// warm form (all lines hit) is the single opcode byte. Events never
-// straddle the 64 KB chunks, so decoding works on flat chunk slices.
+// There is one trace representation and one replay engine. The
+// recorder (SummaryRecorder, direct.go) folds the engine's event
+// callbacks straight into a packed op stream in which each block
+// instance's body events are pre-aggregated (summary.go), and Replay
+// walks that stream. The oracle is direct execution itself: the
+// differential tests compare a replayed machine against the recording
+// run's own machine, and the replay-check gate diffs replayed suite
+// snapshots against directly executed ones.
 package rtrace
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-
-	"acedo/internal/program"
-	"acedo/internal/vm"
-)
-
-// Event kinds (opcode byte low 3 bits).
-const (
-	kBlock  = 0 // block entry, all lines hit; payload = block index
-	kBatch  = 1 // retire batch; payload = length
-	kData   = 2 // data access, D-TLB hit; payload = write bit + addr delta
-	kBranch = 3 // conditional branch; payload = predictor-correct bit
-	kEnter  = 4 // method entry, all lines hit; payload = method ID
-	kExit   = 5 // method return
-	kHalt   = 6 // explicit halt (unwinds all in-flight frames)
-	kExt    = 7 // extended event; payload = subtype
-)
-
-// Extended-event subtypes (opcode byte high 5 bits when kind is kExt).
-const (
-	extBlockMasks = 0 // block entry with I-TLB/L1I miss masks
-	extEnterMasks = 1 // method entry with I-TLB/L1I miss masks
-	extDataTLB    = 2 // data access that missed the D-TLB
-	extEndHalted  = 3 // end of a complete trace (program halted)
-	extEndBudget  = 4 // end of a truncated trace (budget expired)
-)
-
-// payloadMax is the largest value carried inline in the 5-bit payload;
-// payloadEscape marks "uvarint operand follows".
-const (
-	payloadMax    = 30
-	payloadEscape = 31
-)
-
-// chunkBytes is the trace chunk size; maxEventBytes bounds one encoded
-// event (opcode byte plus at most three 10-byte uvarints), so starting
-// a fresh chunk whenever fewer bytes remain guarantees no event
-// straddles a chunk boundary.
-const (
-	chunkBytes    = 64 << 10
-	maxEventBytes = 32
-)
+import "errors"
 
 // Trace is a finished recording of one run's architectural stream.
 // It is immutable and safe to replay concurrently from multiple
 // goroutines (each Replay call carries its own cursor).
 type Trace struct {
-	chunks    [][]byte
+	sum       *summary
 	events    uint64
-	size      int
 	truncated bool
-
-	// direct marks a trace captured by SummaryRecorder: no byte
-	// encoding exists (chunks empty, size 0) and sumState holds the
-	// summary built at record time.
-	direct bool
-
-	// sumState caches the trace's decoded summary (built lazily on
-	// first replay; see summary.go). Behind a pointer so sealed Trace
-	// values stay copyable; nil on hand-built traces (tests), which
-	// then always take the byte-replay path.
-	sumState *sumState
 }
 
 // Truncated reports whether the recording stopped at an instruction
@@ -103,225 +48,6 @@ func (t *Trace) Truncated() bool { return t.truncated }
 // Events returns the number of recorded events.
 func (t *Trace) Events() uint64 { return t.events }
 
-// Size returns the encoded trace size in bytes.
-func (t *Trace) Size() int { return t.size }
-
-// arenaBytes is the recorder's chunk-arena allocation unit: chunks
-// are carved out of shared arenas instead of being allocated one
-// make() apiece, and sealing a chunk hands its spare tail capacity
-// (up to maxEventBytes−1 bytes that begin() could not guarantee would
-// fit an event) to the next chunk instead of stranding it.
-const arenaBytes = 16 * chunkBytes
-
-// Recorder implements vm.Recorder, accumulating the architectural
-// event stream of one engine run. Finish seals it into a Trace.
-type Recorder struct {
-	t        Trace
-	cur      []byte
-	arena    []byte
-	pos      int // bytes of arena consumed by sealed chunks + cur's start
-	prevAddr uint64
-	invalid  string
-}
-
-// NewRecorder returns an empty recorder ready to install on an engine.
-func NewRecorder() *Recorder {
-	r := &Recorder{}
-	r.carve()
-	return r
-}
-
-// begin makes room for one event, sealing the current chunk when fewer
-// than maxEventBytes remain. Events never straddle chunks.
-func (r *Recorder) begin() {
-	if cap(r.cur)-len(r.cur) < maxEventBytes {
-		if len(r.cur) > 0 {
-			r.t.chunks = append(r.t.chunks, r.cur)
-		}
-		r.pos += len(r.cur)
-		r.carve()
-	}
-	r.t.events++
-}
-
-// carve starts the next chunk as a capacity-bounded window into the
-// arena at the first unused byte — sealed chunks keep their bytes
-// (the window cannot grow into them and they are never appended to),
-// while their unused tails are reclaimed. A fresh arena is allocated
-// when the remainder cannot hold even one encoded event.
-func (r *Recorder) carve() {
-	if len(r.arena)-r.pos < maxEventBytes {
-		r.arena = make([]byte, arenaBytes)
-		r.pos = 0
-	}
-	end := r.pos + chunkBytes
-	if end > len(r.arena) {
-		end = len(r.arena)
-	}
-	r.cur = r.arena[r.pos:r.pos:end]
-}
-
-// op emits a kind byte with a small inline operand, escaping to a
-// uvarint when the operand exceeds the 5-bit payload.
-func (r *Recorder) op(kind byte, v uint64) {
-	if v <= payloadMax {
-		r.cur = append(r.cur, kind|byte(v)<<3)
-		return
-	}
-	r.cur = append(r.cur, kind|payloadEscape<<3)
-	r.cur = binary.AppendUvarint(r.cur, v)
-}
-
-// ext emits an extended-event opcode byte.
-func (r *Recorder) ext(sub byte) {
-	r.cur = append(r.cur, kExt|sub<<3)
-}
-
-func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
-func unzigzag(u uint64) int64 {
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// RecordEnter records a method entry and its first block's fetch
-// outcomes (vm.Recorder).
-func (r *Recorder) RecordEnter(id program.MethodID, tlbMask, missMask uint64, ok bool) {
-	if !ok {
-		r.fail("basic block spans more than 64 I-lines")
-	}
-	r.begin()
-	if tlbMask == 0 && missMask == 0 {
-		r.op(kEnter, uint64(id))
-		return
-	}
-	r.ext(extEnterMasks)
-	r.cur = binary.AppendUvarint(r.cur, uint64(id))
-	r.cur = binary.AppendUvarint(r.cur, tlbMask)
-	r.cur = binary.AppendUvarint(r.cur, missMask)
-}
-
-// RecordBlock records an intra-method block entry and its fetch
-// outcomes (vm.Recorder).
-func (r *Recorder) RecordBlock(idx int, tlbMask, missMask uint64, ok bool) {
-	if !ok {
-		r.fail("basic block spans more than 64 I-lines")
-	}
-	r.begin()
-	if tlbMask == 0 && missMask == 0 {
-		r.op(kBlock, uint64(idx))
-		return
-	}
-	r.ext(extBlockMasks)
-	r.cur = binary.AppendUvarint(r.cur, uint64(idx))
-	r.cur = binary.AppendUvarint(r.cur, tlbMask)
-	r.cur = binary.AppendUvarint(r.cur, missMask)
-}
-
-// RecordBatch records a retire batch of n instructions (vm.Recorder).
-func (r *Recorder) RecordBatch(n uint64) {
-	r.begin()
-	r.op(kBatch, n)
-}
-
-// RecordData records one data access and its D-TLB outcome
-// (vm.Recorder).
-func (r *Recorder) RecordData(wordAddr uint64, write, tlbMiss bool) {
-	r.begin()
-	delta := zigzag(int64(wordAddr) - int64(r.prevAddr))
-	r.prevAddr = wordAddr
-	var w uint64
-	if write {
-		w = 1
-	}
-	if tlbMiss {
-		r.ext(extDataTLB)
-		r.cur = binary.AppendUvarint(r.cur, w)
-		r.cur = binary.AppendUvarint(r.cur, delta)
-		return
-	}
-	// Payload: bit 0 = write, bits 1-4 = delta (15 escapes to uvarint).
-	if delta < 15 {
-		r.cur = append(r.cur, kData|byte(w|delta<<1)<<3)
-		return
-	}
-	r.cur = append(r.cur, kData|byte(w|15<<1)<<3)
-	r.cur = binary.AppendUvarint(r.cur, delta)
-}
-
-// RecordBranch records a conditional branch's predictor verdict
-// (vm.Recorder).
-func (r *Recorder) RecordBranch(correct bool) {
-	r.begin()
-	var c byte
-	if correct {
-		c = 1
-	}
-	r.cur = append(r.cur, kBranch|c<<3)
-}
-
-// RecordBody records one fast-path block body in a single call
-// (vm.Recorder), encoding exactly the events the per-call form would:
-// the packed data accesses, the retire batch, then the terminating
-// branch verdict — so the byte stream is identical however the engine
-// chose to report the body.
-func (r *Recorder) RecordBody(data []uint64, n uint64, branch int8) {
-	for _, d := range data {
-		r.RecordData(d>>2, d&1 != 0, d&2 != 0)
-	}
-	r.RecordBatch(n)
-	switch branch {
-	case vm.BranchCorrect:
-		r.RecordBranch(true)
-	case vm.BranchWrong:
-		r.RecordBranch(false)
-	}
-}
-
-// RecordExit records a method return (vm.Recorder).
-func (r *Recorder) RecordExit() {
-	r.begin()
-	r.cur = append(r.cur, kExit)
-}
-
-// RecordHalt records an explicit halt (vm.Recorder).
-func (r *Recorder) RecordHalt() {
-	r.begin()
-	r.cur = append(r.cur, kHalt)
-}
-
-func (r *Recorder) fail(reason string) {
-	if r.invalid == "" {
-		r.invalid = reason
-	}
-}
-
-// Finish seals the recording into an immutable Trace. halted reports
-// whether the program ran to completion (vm.Engine.Halted); a
-// non-halted recording is marked truncated. Finish fails when the
-// stream hit an unencodable case, in which case the run must not be
-// replayed.
-func (r *Recorder) Finish(halted bool) (*Trace, error) {
-	if r.invalid != "" {
-		return nil, fmt.Errorf("rtrace: recording unusable: %s", r.invalid)
-	}
-	r.begin()
-	if halted {
-		r.ext(extEndHalted)
-	} else {
-		r.ext(extEndBudget)
-		r.t.truncated = true
-	}
-	r.t.events-- // end marker is framing, not an event
-	r.t.chunks = append(r.t.chunks, r.cur)
-	r.cur = nil
-	for _, c := range r.t.chunks {
-		r.t.size += len(c)
-	}
-	t := r.t
-	t.sumState = new(sumState)
-	r.t = Trace{}
-	return &t, nil
-}
-
 // ErrDiverged is returned by Replay when the live adaptation machinery
 // charged instructions a truncated trace cannot account for — the
 // scheme's stopping point differs from the recorded run's, so the
@@ -329,6 +55,7 @@ func (r *Recorder) Finish(halted bool) (*Trace, error) {
 // fall back.
 var ErrDiverged = errors.New("rtrace: replayed scheme diverged from recorded stream")
 
-// ErrMalformed is wrapped by Replay errors caused by an undecodable
-// trace; callers should treat it like a divergence and fall back.
+// ErrMalformed is wrapped by errors for a stream the recorder cannot
+// represent (Finish) or a trace that cannot drive the given program
+// (Replay); callers should treat it like a divergence and fall back.
 var ErrMalformed = errors.New("rtrace: malformed trace")

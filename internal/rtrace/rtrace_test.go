@@ -4,15 +4,13 @@ import (
 	"errors"
 	"testing"
 
-	"acedo/internal/machine"
-	"acedo/internal/vm"
+	"acedo/internal/program"
 	"acedo/internal/workload"
 )
 
-// testEnv builds a minimal live environment for replay error-path
-// tests (the bit-exactness of successful replays is pinned end-to-end
-// by the experiment package's differential tests).
-func testEnv(t *testing.T) Env {
+// testProg builds the jess program hand-driven recorder tests resolve
+// methods and blocks against.
+func testProg(t *testing.T) *program.Program {
 	t.Helper()
 	spec, ok := workload.ByName("jess")
 	if !ok {
@@ -22,21 +20,17 @@ func testEnv(t *testing.T) Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach, err := machine.New(machine.PaperConfig(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Env{Prog: prog, Mach: mach, AOS: vm.NewAOS(vm.DefaultParams(), mach, prog)}
+	return prog
 }
 
 func TestRecorderCountsAndSeals(t *testing.T) {
-	r := NewRecorder()
-	r.RecordEnter(0, 1, 1, true) // cold entry: extended form
+	r := NewSummaryRecorder(testProg(t), 0)
+	r.RecordEnter(0, 1, 1, true) // cold entry: masked fetch walk
 	r.RecordBatch(5)
-	r.RecordData(100, false, true) // D-TLB miss: extended form
-	r.RecordData(101, true, false) // warm, small delta: 1 byte
+	r.RecordData(100, false, true) // D-TLB miss
+	r.RecordData(101, true, false)
 	r.RecordBranch(true)
-	r.RecordBlock(1, 0, 0, true) // warm block: 1 byte
+	r.RecordBlock(1, 0, 0, true)
 	r.RecordExit()
 	r.RecordHalt()
 	tr, err := r.Finish(true)
@@ -49,13 +43,13 @@ func TestRecorderCountsAndSeals(t *testing.T) {
 	if tr.Truncated() {
 		t.Error("halted trace marked truncated")
 	}
-	if tr.Size() == 0 || tr.Size() > 64 {
-		t.Errorf("size = %d, want small and non-zero", tr.Size())
+	if tr.MemBytes() == 0 {
+		t.Error("MemBytes = 0, want the op stream's footprint")
 	}
 }
 
 func TestTruncatedFlag(t *testing.T) {
-	r := NewRecorder()
+	r := NewSummaryRecorder(testProg(t), 0)
 	r.RecordBatch(1)
 	tr, err := r.Finish(false)
 	if err != nil {
@@ -67,57 +61,39 @@ func TestTruncatedFlag(t *testing.T) {
 }
 
 func TestOversizedBlockInvalidatesRecording(t *testing.T) {
-	r := NewRecorder()
+	r := NewSummaryRecorder(testProg(t), 0)
+	r.RecordEnter(0, 0, 0, true)
 	r.RecordBlock(0, 0, 0, false) // spans > 64 lines: unencodable
-	if _, err := r.Finish(true); err == nil {
-		t.Error("Finish accepted an unencodable recording")
+	if _, err := r.Finish(true); !errors.Is(err, ErrMalformed) {
+		t.Errorf("Finish on an unencodable recording: err = %v, want ErrMalformed", err)
 	}
 }
 
-func TestChunkSealing(t *testing.T) {
-	r := NewRecorder()
-	// Large alternating deltas force multi-byte events; enough of them
-	// force several chunks.
-	const n = 40_000
-	for i := 0; i < n; i++ {
-		r.RecordData(uint64(i)*1_000_003, i%2 == 0, false)
-		r.RecordBatch(1 << 20) // uvarint-escaped operand
+// TestFinishRejectsMalformed: call sequences no engine produces — a
+// return or block entry with no frame, an unknown method or block —
+// must poison the recording, and Finish must report an error wrapping
+// ErrMalformed without panicking.
+func TestFinishRejectsMalformed(t *testing.T) {
+	prog := testProg(t)
+	cases := map[string]func(r *SummaryRecorder){
+		"exit underflow": func(r *SummaryRecorder) { r.RecordExit() },
+		"block no frame": func(r *SummaryRecorder) { r.RecordBlock(1, 0, 0, true) },
+		"method range":   func(r *SummaryRecorder) { r.RecordEnter(program.MethodID(prog.NumMethods()), 0, 0, true) },
+		"block range": func(r *SummaryRecorder) {
+			r.RecordEnter(0, 0, 0, true)
+			r.RecordBlock(len(prog.Method(0).Blocks), 0, 0, true)
+		},
+		"after halt": func(r *SummaryRecorder) {
+			r.RecordEnter(0, 0, 0, true)
+			r.RecordHalt()
+			r.RecordExit()
+		},
 	}
-	tr, err := r.Finish(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Events() != 2*n {
-		t.Errorf("events = %d, want %d", tr.Events(), 2*n)
-	}
-	if len(tr.chunks) < 2 {
-		t.Errorf("chunks = %d, want several (size %d)", len(tr.chunks), tr.Size())
-	}
-	for i, c := range tr.chunks {
-		if len(c) > chunkBytes {
-			t.Errorf("chunk %d overflows: %d bytes", i, len(c))
-		}
-	}
-}
-
-func TestZigzagRoundTrip(t *testing.T) {
-	for _, d := range []int64{0, 1, -1, 2, -2, 1 << 40, -(1 << 40), 1<<63 - 1, -(1 << 62)} {
-		if got := unzigzag(zigzag(d)); got != d {
-			t.Errorf("unzigzag(zigzag(%d)) = %d", d, got)
-		}
-	}
-}
-
-func TestReplayMalformed(t *testing.T) {
-	env := testEnv(t)
-	cases := map[string]*Trace{
-		"missing end marker": {chunks: [][]byte{{}}},
-		"unknown ext":        {chunks: [][]byte{{kExt | 20<<3}}},
-		"bad operand":        {chunks: [][]byte{{kBatch | payloadEscape<<3}}},
-		"exit underflow":     {chunks: [][]byte{{kExit}}},
-	}
-	for name, tr := range cases {
-		if err := tr.Replay(env); !errors.Is(err, ErrMalformed) {
+	for name, calls := range cases {
+		r := NewSummaryRecorder(prog, 0)
+		calls(r)
+		r.RecordBatch(3) // events after the failure are ignored
+		if _, err := r.Finish(true); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
 		}
 	}

@@ -1,20 +1,17 @@
-// Summarized-block replay: a sealed trace is decoded exactly once
-// into an op stream in which every block instance's body events
-// (data accesses, retire batches, branch verdicts, D-TLB outcomes)
-// are pre-aggregated, together with the instance's distinct-line data
-// footprint. Replays then walk the decoded stream instead of the byte
-// encoding: single-access bodies (the overwhelming case in the suite's
-// workloads) apply as one direct data access, multi-access bodies
-// whose footprint is fully resident in the live L1D apply as one bulk
-// arithmetic update — stats, LRU ticks, dirty bits, energy, and
-// stalls land exactly where the per-access path puts them (see
+// Summarized-block replay: the recorder folds every block instance's
+// body events (data accesses, retire batches, branch verdicts, D-TLB
+// outcomes) into one pre-aggregated op, together with the instance's
+// distinct-line data footprint. Replays walk that op stream:
+// single-access bodies (the overwhelming case in the suite's workloads)
+// apply as one direct data access, multi-access bodies whose footprint
+// is fully resident in the live L1D apply as one bulk arithmetic
+// update — stats, LRU ticks, dirty bits, energy, and stalls land
+// exactly where the per-access path puts them (see
 // cache.TryApplyFootprint) — and everything else falls back to the
-// exact per-access path. The original byte-decoding loop survives as
-// Trace.ReplayExact, the differential oracle every summarized result
-// is tested against.
+// exact per-access path.
 //
 // The op stream is deliberately tiny — 16 bytes per op — because the
-// replay loop is memory-bound: the suite's traces decode to millions
+// replay loop is memory-bound: the suite's traces record millions
 // of ops, so every extra op byte is a byte of DRAM traffic on every
 // replay. It is stored as a list of fixed-size segments (opSeg), so
 // the recorder appends a fresh segment when the current one fills and
@@ -32,7 +29,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
-	"sync"
 
 	"acedo/internal/cache"
 	"acedo/internal/isa"
@@ -135,58 +131,29 @@ type sumExt struct {
 	fastOK    bool   // footprint small enough for the bulk-apply path
 }
 
-// summary is a trace decoded once against a program: the packed op
+// summary is a recording resolved against its program: the packed op
 // stream, the side tables rare ops and listener replays index into,
 // and the flat data-access and footprint tables for multi-access
-// bodies. Immutable after construction and shared by every concurrent
-// replay of the trace.
+// bodies. Immutable once Finish seals it, and shared by every
+// concurrent replay of the trace.
 type summary struct {
 	segs    []*opSeg
 	n       int // ops in the stream, across segs
 	ext     []sumExt
 	data    []uint64 // wordAddr<<1 | write bit, in access order
 	foot    []cache.FootLine
-	err     error // non-nil: the byte stream is malformed
-	retired uint64
 	progSig uint64
 }
 
-// seg locates op i of the stream: its segment and the offset within.
-func (s *summary) seg(i int) (*opSeg, int) {
-	return s.segs[i>>segShift], i & segMask
-}
-
-// totalBatch is the summary's retired-instruction grand total,
-// saturating on overflow (fuzz-harness helper: hostile uvarint batches
-// can encode near-2^64 totals). The builder accumulates it at decode
-// time rather than summing committed ops, so it also counts batches in
-// an open op a malformed tail never commits — exactly the batches the
-// streaming exact replay issues before it hits the bad tail.
-func (s *summary) totalBatch() uint64 {
-	return s.retired
-}
-
-// sumState hangs the lazily built summary off a Trace behind a
-// pointer, so sealed Trace values stay copyable.
-type sumState struct {
-	mu    sync.Mutex
-	built bool
-	sum   *summary
-}
-
-// summaryMaxTraceBytes bounds the traces that get summarized: the
-// decoded op stream costs roughly 6× the encoded bytes, so very large
-// recordings keep the byte-replay path instead of ballooning memory.
-const summaryMaxTraceBytes = 96 << 20
-
-// iLine is the L1I/L1D line size the summarizer computes footprints
+// iLine is the L1I/L1D line size the recorder computes footprints
 // and fetch-walk ranges at (matches machine.New's cache geometry).
 const iLine = isa.ILineBytes
 
 // progSigOf fingerprints the program content a summary's resolved
 // block geometry depends on: replays of the same cached trace always
-// rebuild an identical program, but a mismatch must fail safe (byte
-// replay) rather than apply another program's line ranges.
+// rebuild an identical program, but a mismatch must fail safe (an
+// ErrMalformed fallback) rather than apply another program's line
+// ranges.
 func progSigOf(prog *program.Program) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -205,30 +172,13 @@ func progSigOf(prog *program.Program) uint64 {
 	return h.Sum64()
 }
 
-// summaryFor returns the trace's summary resolved against prog,
-// building it on first use (guarded by the trace's state lock). It
-// returns nil when the trace is too large to summarize, when the
-// trace was hand-built without summary state (tests), or when prog
-// does not match the program the cached summary was resolved against
-// — callers must use ReplayExact then.
+// summaryFor returns the trace's summary when prog is the program it
+// was recorded against, and nil otherwise.
 func (t *Trace) summaryFor(prog *program.Program) *summary {
-	st := t.sumState
-	if st == nil {
+	if t.sum.progSig != progSigOf(prog) {
 		return nil
 	}
-	st.mu.Lock()
-	if !st.built {
-		st.built = true
-		if t.size <= summaryMaxTraceBytes {
-			st.sum = summarize(t, prog)
-		}
-	}
-	s := st.sum
-	st.mu.Unlock()
-	if s != nil && s.progSig != progSigOf(prog) {
-		return nil
-	}
-	return s
+	return t.sum
 }
 
 // opBuild accumulates one op's boundary fields and body aggregates
@@ -273,7 +223,7 @@ type blkGeom struct {
 // clampMasks clamps recorded fetch masks to the block's line count:
 // the per-line walk (ReplayFetchLines) never consults bits at or above
 // nLines, so clamping keeps the bulk popcount charges identical to the
-// exact walk even on hostile hand-built traces. Engine-produced masks
+// exact walk even on hand-driven recordings. Engine-produced masks
 // only ever set in-range bits, so this is the identity on real
 // recordings.
 func clampMasks(nLines, tlbMask, missMask uint64) (uint64, uint64) {
@@ -287,14 +237,9 @@ func clampMasks(nLines, tlbMask, missMask uint64) (uint64, uint64) {
 	return tlbMask, missMask
 }
 
-// sumBuilder is the single construction path for summaries: the same
-// boundary/body state machine is fed either by the decode-once
-// summarizer (summarize, walking the byte stream) or by the direct
-// recorder (SummaryRecorder, driven straight from the engine's event
-// callbacks). Sharing the machine is what makes the two paths
-// structurally incapable of drifting apart: a boundary event commits
-// the open op via next(), body events accumulate into open/body, and
-// emit() decides packed-vs-ext identically regardless of who called.
+// sumBuilder is the boundary/body state machine the recorder drives:
+// a boundary event commits the open op via next(), body events
+// accumulate into open/body, and emit() decides packed-vs-ext.
 type sumBuilder struct {
 	s      *summary
 	prog   *program.Program
@@ -363,18 +308,8 @@ func (b *sumBuilder) footprintOf() (uint8, bool) {
 	return uint8(len(s.foot) - base), true
 }
 
-// addBatch accumulates a retire batch into the open op and the
-// summary's saturating grand total. Both construction paths route
-// batches through here so totalBatch covers even an op the stream
-// never commits.
-func (b *sumBuilder) addBatch(n uint64) {
-	b.open.batch += n
-	if b.s.retired+n < b.s.retired {
-		b.s.retired = ^uint64(0)
-	} else {
-		b.s.retired += n
-	}
-}
+// addBatch accumulates a retire batch into the open op.
+func (b *sumBuilder) addBatch(n uint64) { b.open.batch += n }
 
 // push commits one op and its pc word to the stream, starting a fresh
 // segment when the last one is full (or none exists yet). Committed
@@ -633,159 +568,14 @@ func (b *sumBuilder) end(halted bool) {
 	b.emit()
 }
 
-// summarize decodes the whole byte stream once into a sumBuilder,
-// mirroring ReplayExact's decoder exactly: the same operand forms, the
-// same validation, the same frame tracking for block-index resolution.
-// A malformed stream yields a summary carrying the error Replay
-// reports, so the byte path and the summarized path fail the same
-// traces.
-func summarize(t *Trace, prog *program.Program) *summary {
-	var b sumBuilder
-	b.init(prog)
-	s := b.s
-
-	var prevAddr uint64
-
-	fail := func(err error) *summary {
-		s.err = err
-		return s
-	}
-
-	for ci := 0; ci < len(t.chunks); ci++ {
-		buf := t.chunks[ci]
-		pos := 0
-		for pos < len(buf) {
-			opByte := buf[pos]
-			pos++
-			kind := opByte & 7
-			pay := uint64(opByte >> 3)
-
-			switch kind {
-			case kBlock, kBatch, kEnter:
-				if pay == payloadEscape {
-					v, n := binary.Uvarint(buf[pos:])
-					if n <= 0 {
-						return fail(fmt.Errorf("%w: bad operand at chunk %d pos %d", ErrMalformed, ci, pos))
-					}
-					pos += n
-					pay = v
-				}
-			}
-
-			switch kind {
-			case kBatch:
-				b.addBatch(pay)
-
-			case kData:
-				write := pay & 1
-				delta := pay >> 1
-				if delta == 15 {
-					v, n := binary.Uvarint(buf[pos:])
-					if n <= 0 {
-						return fail(fmt.Errorf("%w: bad data delta at chunk %d pos %d", ErrMalformed, ci, pos))
-					}
-					pos += n
-					delta = v
-				}
-				addr := uint64(int64(prevAddr) + unzigzag(delta))
-				prevAddr = addr
-				b.body = append(b.body, addr<<1|write)
-
-			case kBranch:
-				if pay&1 == 0 {
-					b.open.brWrong++
-				}
-
-			case kBlock:
-				if err := b.block(pay, 0, 0); err != nil {
-					return fail(err)
-				}
-
-			case kEnter:
-				if err := b.enter(pay, 0, 0); err != nil {
-					return fail(err)
-				}
-
-			case kExit:
-				if err := b.exit(); err != nil {
-					return fail(err)
-				}
-
-			case kHalt:
-				b.halt()
-
-			case kExt:
-				switch pay {
-				case extEndHalted:
-					b.end(true)
-					return s
-				case extEndBudget:
-					b.end(false)
-					return s
-
-				case extBlockMasks, extEnterMasks:
-					v, n := binary.Uvarint(buf[pos:])
-					if n <= 0 {
-						return fail(fmt.Errorf("%w: bad masked-entry operand", ErrMalformed))
-					}
-					pos += n
-					tlbMask, n := binary.Uvarint(buf[pos:])
-					if n <= 0 {
-						return fail(fmt.Errorf("%w: bad I-TLB mask", ErrMalformed))
-					}
-					pos += n
-					missMask, n := binary.Uvarint(buf[pos:])
-					if n <= 0 {
-						return fail(fmt.Errorf("%w: bad L1I mask", ErrMalformed))
-					}
-					pos += n
-					// Mask clamping happens inside enter/block
-					// (clampMasks), after the same range validation
-					// the unmasked forms get.
-					if pay == extBlockMasks {
-						if err := b.block(v, tlbMask, missMask); err != nil {
-							return fail(err)
-						}
-						break
-					}
-					if err := b.enter(v, tlbMask, missMask); err != nil {
-						return fail(err)
-					}
-
-				case extDataTLB:
-					w, n := binary.Uvarint(buf[pos:])
-					if n <= 0 {
-						return fail(fmt.Errorf("%w: bad data flags", ErrMalformed))
-					}
-					pos += n
-					delta, n := binary.Uvarint(buf[pos:])
-					if n <= 0 {
-						return fail(fmt.Errorf("%w: bad data delta", ErrMalformed))
-					}
-					pos += n
-					addr := uint64(int64(prevAddr) + unzigzag(delta))
-					prevAddr = addr
-					b.body = append(b.body, addr<<1|(w&1))
-					b.open.dtlb++
-
-				default:
-					return fail(fmt.Errorf("%w: unknown extended event %d", ErrMalformed, pay))
-				}
-			}
-		}
-	}
-	return fail(fmt.Errorf("%w: missing end marker", ErrMalformed))
-}
-
-// sumWalker replays a summary's op stream into a live environment. It
-// is the summarized counterpart of ReplayExact's event loop: boundary
-// actions (fetch walks, listener calls, AOS method events, divergence
-// checks) happen per op in recorded order, while each op's body is
-// applied as aggregates — one IssueBatch + sampler settlement for the
-// body's whole retire total (exact by the batched-watermark argument
-// in vm.AOS.sampleDueN), bulk D-TLB/mispredict charges (commutative
-// integer constants within an instance), and a direct access
-// (single-access bodies), the footprint fast path, or the exact
+// sumWalker replays a summary's op stream into a live environment:
+// boundary actions (fetch walks, listener calls, AOS method events,
+// divergence checks) happen per op in recorded order, while each op's
+// body is applied as aggregates — one IssueBatch + sampler settlement
+// for the body's whole retire total (exact by the batched-watermark
+// argument in vm.AOS.sampleDueN), bulk D-TLB/mispredict charges
+// (commutative integer constants within an instance), and a direct
+// access (single-access bodies), the footprint fast path, or the exact
 // per-access loop for the data stream.
 type sumWalker struct {
 	s          *summary
@@ -827,55 +617,53 @@ func newSumWalker(t *Trace, s *summary, env Env) *sumWalker {
 // exactly the ones with both bits clear.
 const opBoundaryMask = opExtBit | 0b101
 
-// walk replays ops[lo:hi). With cacheWork the live L1D/L2 simulate
-// every body (direct access or footprint fast path when possible,
-// exact loop otherwise); without it the walker performs only the
-// state-independent work — AOS boundaries, sampler polls, retire
-// batches, and the arithmetic charges — leaving the cache evolution
-// to a span worker whose results are spliced in afterwards. done
-// reports that an end-marker op was consumed.
+// walk replays the whole op stream, one segment at a time. The end
+// marker is always the stream's last op, so the walk simply runs off
+// the end.
 //
 // Listener-free replays take the fused path, which coalesces the
 // arithmetic charges of straight-line runs; replays with a block
-// listener must surface every block boundary individually. Either way
-// the range is walked one segment piece at a time. A fused run that
-// crosses a segment boundary flushes its bulk charges there, which is
-// bit-exact for the same reason span splitting is (see walkFused).
-func (w *sumWalker) walk(lo, hi int, cacheWork bool) (done bool, err error) {
-	for lo < hi && !done && err == nil {
-		g, k := w.s.seg(lo)
-		ops := g.ops[k:min(k+hi-lo, segOps)]
+// listener must surface every block boundary individually. A fused run
+// that crosses a segment boundary flushes its bulk charges there,
+// which is bit-exact because every merged charge is a sum of
+// per-event constants (see walkFused).
+func (w *sumWalker) walk() error {
+	for si, g := range w.s.segs {
+		n := min(segOps, w.s.n-si<<segShift)
 		if w.listener == nil {
-			done, err = w.walkFused(ops, lo, cacheWork)
-		} else {
-			for j := 0; j < len(ops) && !done && err == nil; j++ {
-				done, err = w.applyOp(ops[j], lo+j, cacheWork)
+			if err := w.walkFused(g, n); err != nil {
+				return err
+			}
+			continue
+		}
+		for j := 0; j < n; j++ {
+			if err := w.applyOp(g, j); err != nil {
+				return err
 			}
 		}
-		lo += len(ops)
 	}
-	return done, err
+	return nil
 }
 
-// walkFused is walk for replays without a block listener, over one
-// segment piece ops whose first op is op base of the stream. Within a
-// straight-line run (consecutive seq/block ops — no method boundary,
-// no end marker) the frame stack is constant and every non-cache
-// charge is a sum of per-event constants over independent
-// accumulators, so the run's fetch lines, retire batch, recorded
-// mispredicts, and D-TLB misses can accumulate in locals and flush as
-// single bulk charges at the run boundary. Bit-exactness of each
-// merged charge: integer counters add associatively, power meters
-// charge via Meter.AccessRepeat (one add per event regardless of
-// call granularity), and the merged sampler poll delivers the same
-// samples to the same frame stack (vm.AOS.sampleDueN covers the
-// contiguous retire range identically however it is subdivided).
-// Data accesses still apply one at a time, in order — only their
-// surrounding arithmetic is batched. Boundary ops flush first, then
-// take the exact per-op path, so AOS hooks and reconfigurations
-// observe the same machine state as the unfused walk.
-func (w *sumWalker) walkFused(ops []sumOp, base int, cacheWork bool) (done bool, err error) {
+// walkFused is walk for replays without a block listener, over the
+// first n ops of segment g. Within a straight-line run (consecutive
+// seq/block ops — no method boundary, no end marker) the frame stack
+// is constant and every non-cache charge is a sum of per-event
+// constants over independent accumulators, so the run's fetch lines,
+// retire batch, recorded mispredicts, and D-TLB misses can accumulate
+// in locals and flush as single bulk charges at the run boundary.
+// Bit-exactness of each merged charge: integer counters add
+// associatively, power meters charge via Meter.AccessRepeat (one add
+// per event regardless of call granularity), and the merged sampler
+// poll delivers the same samples to the same frame stack
+// (vm.AOS.sampleDueN covers the contiguous retire range identically
+// however it is subdivided). Data accesses still apply one at a time,
+// in order — only their surrounding arithmetic is batched. Boundary
+// ops flush first, then take the exact per-op path, so AOS hooks and
+// reconfigurations observe the same machine state as the unfused walk.
+func (w *sumWalker) walkFused(g *opSeg, n int) error {
 	mach, aos := w.mach, w.aos
+	ops := g.ops[:n]
 	for i := 0; i < len(ops); {
 		var lines, batch, br, dtlb uint64
 		j := i
@@ -887,19 +675,17 @@ func (w *sumWalker) walkFused(ops []sumOp, base int, cacheWork bool) (done bool,
 			lines += o.w >> opLinesShift & opLinesMax
 			if nData := o.w >> opDataShift & opDataMax; nData != 0 {
 				dtlb += o.w >> opTLBShift & opTLBMax
-				if cacheWork {
-					if nData == 1 {
-						mach.ReplayData(o.d>>1, o.d&1 != 0, false)
-					} else {
-						w.replayBody(o.w, o.d, nData, 0)
-					}
+				if nData == 1 {
+					mach.ReplayData(o.d>>1, o.d&1 != 0, false)
+				} else {
+					w.replayBody(o.w, o.d, nData, 0)
 				}
 			}
 			batch += o.w >> opBatchShift
 			br += o.w >> opBrShift & opBrMax
 		}
 		if lines != 0 {
-			mach.ReplayFetchCharges(lines, 0, 0)
+			mach.ReplayFetchCharges(lines, 0)
 		}
 		if dtlb != 0 {
 			mach.ChargeDataTLBMisses(dtlb)
@@ -915,88 +701,98 @@ func (w *sumWalker) walkFused(ops []sumOp, base int, cacheWork bool) (done bool,
 			mach.ChargeMispredicts(br)
 		}
 		if j >= len(ops) {
-			return false, nil
+			return nil
 		}
-		done, err = w.applyOp(ops[j], base+j, cacheWork)
-		if done || err != nil {
-			return done, err
+		if err := w.applyOp(g, j); err != nil {
+			return err
 		}
 		i = j + 1
 	}
-	return false, nil
+	return nil
 }
 
-// applyOp replays op i of the stream, o, exactly: the boundary action
-// in recorded order, then the body, retire batch with sampler poll,
-// and misprediction charges.
-func (w *sumWalker) applyOp(o sumOp, i int, cacheWork bool) (done bool, err error) {
-	mach, aos, s := w.mach, w.aos, w.s
-	{
-		if o.w&opExtBit != 0 {
-			return w.applyExt(o.w&(1<<opKindBits-1), &s.ext[o.d], cacheWork)
+// applyOp replays op j of segment g exactly: the boundary action in
+// recorded order, then the body, retire batch with sampler poll, and
+// misprediction charges.
+func (w *sumWalker) applyOp(g *opSeg, j int) error {
+	mach, aos, o := w.mach, w.aos, g.ops[j]
+	if o.w&opExtBit != 0 {
+		return w.applyExt(o.w&(1<<opKindBits-1), &w.s.ext[o.d])
+	}
+	switch o.w & (1<<opKindBits - 1) {
+	case opBlock:
+		if n := o.w >> opLinesShift & opLinesMax; n != 0 {
+			mach.ReplayFetchCharges(n, 0)
 		}
-		switch o.w & (1<<opKindBits - 1) {
-		case opSeq:
-
-		case opBlock:
-			if n := o.w >> opLinesShift & opLinesMax; n != 0 {
-				mach.ReplayFetchCharges(n, 0, 0)
-			}
-			if w.listener != nil {
-				g, k := s.seg(i)
-				p := uint64(g.pcs[k])
-				w.listener(p>>8, int(p&opInstrMax))
-			}
-
-		case opExit:
-			f := w.frames[len(w.frames)-1]
-			w.frames = w.frames[:len(w.frames)-1]
-			w.ids = w.ids[:len(w.ids)-1]
-			aos.ReplayMethodExit(f.m.ID, mach.Instructions()-f.entry)
-			if w.check && mach.Instructions() != w.start+w.batchSum {
-				return false, ErrDiverged
-			}
-
-		case opHalt:
-			now := mach.Instructions()
-			for j := len(w.frames) - 1; j >= 0; j-- {
-				aos.ReplayMethodExit(w.frames[j].m.ID, now-w.frames[j].entry)
-			}
-			w.frames = w.frames[:0]
-			w.ids = w.ids[:0]
-			if w.check && now != w.start+w.batchSum {
-				return false, ErrDiverged
-			}
-
-		case opEndHalted, opEndBudget:
-			return true, nil
+		if w.listener != nil {
+			p := uint64(g.pcs[j])
+			w.listener(p>>8, int(p&opInstrMax))
 		}
 
-		if nData := o.w >> opDataShift & opDataMax; nData != 0 {
-			dtlb := o.w >> opTLBShift & opTLBMax
-			switch {
-			case !cacheWork:
-				if dtlb != 0 {
-					mach.ChargeDataTLBMisses(dtlb)
-				}
-			case nData == 1:
-				mach.ReplayData(o.d>>1, o.d&1 != 0, dtlb != 0)
-			default:
-				w.replayBody(o.w, o.d, nData, dtlb)
-			}
+	case opExit:
+		if err := w.exit(); err != nil {
+			return err
 		}
-		if batch := o.w >> opBatchShift; batch != 0 {
-			mach.IssueBatch(batch)
-			w.batchSum += batch
-			if w.sampling {
-				aos.ReplayBatchPoll(mach.Instructions(), batch, w.ids)
-			}
-		}
-		if br := o.w >> opBrShift & opBrMax; br != 0 {
-			mach.ChargeMispredicts(br)
+
+	case opHalt:
+		if err := w.halt(); err != nil {
+			return err
 		}
 	}
-	return false, nil
+
+	if nData := o.w >> opDataShift & opDataMax; nData != 0 {
+		dtlb := o.w >> opTLBShift & opTLBMax
+		if nData == 1 {
+			mach.ReplayData(o.d>>1, o.d&1 != 0, dtlb != 0)
+		} else {
+			w.replayBody(o.w, o.d, nData, dtlb)
+		}
+	}
+	if batch := o.w >> opBatchShift; batch != 0 {
+		mach.IssueBatch(batch)
+		w.batchSum += batch
+		if w.sampling {
+			aos.ReplayBatchPoll(mach.Instructions(), batch, w.ids)
+		}
+	}
+	if br := o.w >> opBrShift & opBrMax; br != 0 {
+		mach.ChargeMispredicts(br)
+	}
+	return nil
+}
+
+// exit pops the innermost frame, like the engine's method return.
+func (w *sumWalker) exit() error {
+	f := w.frames[len(w.frames)-1]
+	w.frames = w.frames[:len(w.frames)-1]
+	w.ids = w.ids[:len(w.ids)-1]
+	w.aos.ReplayMethodExit(f.m.ID, w.mach.Instructions()-f.entry)
+	return w.checkBoundary()
+}
+
+// halt unwinds all in-flight frames innermost-first at one
+// instruction count, like vm.Engine's halt path.
+func (w *sumWalker) halt() error {
+	now := w.mach.Instructions()
+	for j := len(w.frames) - 1; j >= 0; j-- {
+		w.aos.ReplayMethodExit(w.frames[j].m.ID, now-w.frames[j].entry)
+	}
+	w.frames = w.frames[:0]
+	w.ids = w.ids[:0]
+	if w.check && now != w.start+w.batchSum {
+		return ErrDiverged
+	}
+	return nil
+}
+
+// checkBoundary is a truncated trace's per-boundary divergence check:
+// the machine must have retired exactly the replayed batches, with no
+// instrumentation overhead on top.
+func (w *sumWalker) checkBoundary() error {
+	if w.check && w.mach.Instructions() != w.start+w.batchSum {
+		return ErrDiverged
+	}
+	return nil
 }
 
 // replayBody applies a packed multi-access body: the footprint bulk
@@ -1022,70 +818,57 @@ func (w *sumWalker) replayBody(opw, opd, nData, dtlb uint64) {
 // applyExt replays one ext op: the boundary action (method entry with
 // its fetch walk and AOS events, or a masked/overflowed block fetch),
 // then the body from the ext record's full-width fields.
-func (w *sumWalker) applyExt(kind uint64, x *sumExt, cacheWork bool) (done bool, err error) {
+func (w *sumWalker) applyExt(kind uint64, x *sumExt) error {
 	mach, aos := w.mach, w.aos
 	switch kind {
 	case opEnter:
 		m := w.prog.Method(program.MethodID(x.method))
 		w.frames = append(w.frames, rframe{m: m, entry: mach.Instructions()})
 		w.ids = append(w.ids, m.ID)
-		w.fetch(x, cacheWork)
+		w.fetch(x)
+		// The trace's first entry is the engine's construction-time
+		// push, which ran before the run wiring installed the block
+		// listener — so it performs its machine effects but does not
+		// fire the listener, exactly like direct execution.
 		if w.listener != nil && !w.firstEnter {
 			w.listener(x.pc, int(x.nInstrs))
 		}
 		w.firstEnter = false
 		aos.ReplayMethodEnter(m.ID)
-		if w.check && mach.Instructions() != w.start+w.batchSum {
-			return false, ErrDiverged
+		if err := w.checkBoundary(); err != nil {
+			return err
 		}
 
 	case opBlock:
-		w.fetch(x, cacheWork)
+		w.fetch(x)
 		if w.listener != nil {
 			w.listener(x.pc, int(x.nInstrs))
 		}
 
 	case opExit:
-		f := w.frames[len(w.frames)-1]
-		w.frames = w.frames[:len(w.frames)-1]
-		w.ids = w.ids[:len(w.ids)-1]
-		aos.ReplayMethodExit(f.m.ID, mach.Instructions()-f.entry)
-		if w.check && mach.Instructions() != w.start+w.batchSum {
-			return false, ErrDiverged
+		if err := w.exit(); err != nil {
+			return err
 		}
 
 	case opHalt:
-		now := mach.Instructions()
-		for j := len(w.frames) - 1; j >= 0; j-- {
-			aos.ReplayMethodExit(w.frames[j].m.ID, now-w.frames[j].entry)
+		if err := w.halt(); err != nil {
+			return err
 		}
-		w.frames = w.frames[:0]
-		w.ids = w.ids[:0]
-		if w.check && now != w.start+w.batchSum {
-			return false, ErrDiverged
-		}
-
-	case opEndHalted, opEndBudget:
-		return true, nil
 	}
 
 	if x.nData > 0 {
-		if cacheWork {
-			applied := false
-			if x.fastOK && w.footOK {
-				foot := w.s.foot[x.footOff : x.footOff+uint32(x.nFoot)]
-				applied = mach.TryReplayDataFootprint(foot, uint64(x.nData), uint64(x.dtlb))
+		applied := false
+		if x.fastOK && w.footOK {
+			foot := w.s.foot[x.footOff : x.footOff+uint32(x.nFoot)]
+			applied = mach.TryReplayDataFootprint(foot, uint64(x.nData), uint64(x.dtlb))
+		}
+		if !applied {
+			for _, d := range w.s.data[x.dataOff : x.dataOff+x.nData] {
+				mach.ReplayData(d>>1, d&1 != 0, false)
 			}
-			if !applied {
-				for _, d := range w.s.data[x.dataOff : x.dataOff+x.nData] {
-					mach.ReplayData(d>>1, d&1 != 0, false)
-				}
-				if x.dtlb != 0 {
-					mach.ChargeDataTLBMisses(uint64(x.dtlb))
-				}
+			if x.dtlb != 0 {
+				mach.ChargeDataTLBMisses(uint64(x.dtlb))
 			}
-		} else if x.dtlb != 0 {
-			mach.ChargeDataTLBMisses(uint64(x.dtlb))
 		}
 	}
 	if x.batch > 0 {
@@ -1098,22 +881,17 @@ func (w *sumWalker) applyExt(kind uint64, x *sumExt, cacheWork bool) (done bool,
 	if x.brWrong > 0 {
 		mach.ChargeMispredicts(uint64(x.brWrong))
 	}
-	return false, nil
+	return nil
 }
 
-// fetch applies an ext op's recorded fetch walk. cacheWork=false
-// replaces the recorded L1I misses' live L2 traffic with their state-
-// independent charges only (the span-parallel spine's mode — the span
-// worker simulates that L2 traffic privately).
-func (w *sumWalker) fetch(x *sumExt, cacheWork bool) {
+// fetch applies an ext op's recorded fetch walk: pure bulk charges
+// when no line missed the L1I, the per-line walk (with its live L2
+// traffic) otherwise.
+func (w *sumWalker) fetch(x *sumExt) {
 	if x.missMask == 0 {
-		w.mach.ReplayFetchCharges(uint64(x.nLines), uint64(bits.OnesCount64(x.tlbMask)), 0)
+		w.mach.ReplayFetchCharges(uint64(x.nLines), uint64(bits.OnesCount64(x.tlbMask)))
 		return
 	}
-	if cacheWork {
-		last := x.firstLine + uint64(x.nLines-1)*iLine
-		w.mach.ReplayFetchLines(x.firstLine, last, x.tlbMask, x.missMask)
-		return
-	}
-	w.mach.ReplayFetchCharges(uint64(x.nLines), uint64(bits.OnesCount64(x.tlbMask)), uint64(bits.OnesCount64(x.missMask)))
+	last := x.firstLine + uint64(x.nLines-1)*iLine
+	w.mach.ReplayFetchLines(x.firstLine, last, x.tlbMask, x.missMask)
 }

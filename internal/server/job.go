@@ -278,8 +278,6 @@ type RunMeta struct {
 // benchmarks and at the engine's chunk boundaries.
 func (s *Server) runJob(spec JobSpec, sink *eventLog, cancel <-chan struct{}) ([]byte, []RunMeta, error) {
 	opt := spec.options(cancel)
-	opt.IntraParallelism = s.cfg.IntraParallelism
-	opt.TraceFormat = s.cfg.TraceFormat
 	if sink != nil && spec.Events {
 		opt.Sink = sink
 	}

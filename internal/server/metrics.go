@@ -69,17 +69,12 @@ type Metrics struct {
 	StoreHits       uint64 `json:"store_hits,omitempty"`
 	JournalReplayed uint64 `json:"journal_replayed,omitempty"`
 
-	// TraceFormat is the daemon's configured recorder format ("summary"
-	// or "bytes"); the trace-cache gauges mirror the experiment layer's
+	// The trace-cache gauges mirror the experiment layer's
 	// process-wide record-once cache (experiment.CurrentTraceCacheStats):
-	// resident entries and their memory charge, split by how many were
-	// direct-built at record time versus decoded from byte streams. All
-	// zero gauges are elided (schema-additive).
-	TraceFormat          string `json:"trace_format,omitempty"`
-	TraceCacheEntries    int    `json:"trace_cache_entries,omitempty"`
-	TraceCacheBytes      int    `json:"trace_cache_bytes,omitempty"`
-	TraceCacheDirect     uint64 `json:"trace_cache_direct,omitempty"`
-	TraceCacheSummarized uint64 `json:"trace_cache_summarized,omitempty"`
+	// resident entries and their memory charge. Zero gauges are elided
+	// (schema-additive).
+	TraceCacheEntries int `json:"trace_cache_entries,omitempty"`
+	TraceCacheBytes   int `json:"trace_cache_bytes,omitempty"`
 
 	// Cluster gauges, present only when the daemon runs with -peers
 	// (single-node /metrics stays byte-identical). ClusterNode is this

@@ -42,7 +42,6 @@ import (
 
 	"acedo/internal/experiment"
 	"acedo/internal/fault"
-	"acedo/internal/rtrace"
 	"acedo/internal/server/cluster"
 	"acedo/internal/server/store"
 )
@@ -84,21 +83,6 @@ type Config struct {
 	// MaxJobs bounds retained job records (0 = 1024); the oldest
 	// finished jobs are evicted first.
 	MaxJobs int
-	// IntraParallelism, when > 1, splits each trace replay inside a
-	// job across that many goroutines (experiment.Options.
-	// IntraParallelism). Results are bit-identical at any setting, so
-	// this is a daemon-level latency/CPU knob and deliberately not
-	// part of JobSpec — it does not enter SpecHash, and cached
-	// results remain valid across settings.
-	IntraParallelism int
-	// TraceFormat selects the recorder implementation jobs record
-	// with (experiment.Options.TraceFormat): the direct summary
-	// recorder by default, or the byte encoder. Both formats replay
-	// bit-identically, so — like IntraParallelism — this is a
-	// daemon-level performance knob, deliberately not part of JobSpec:
-	// it does not enter SpecHash, and cached results remain valid
-	// across settings.
-	TraceFormat rtrace.Format
 	// DataDir, when non-empty, makes the daemon crash-safe: finished
 	// results persist to a disk-backed content-addressed store under
 	// DataDir/results (write-through behind the in-memory cache, which
@@ -893,12 +877,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Workers = s.cfg.Workers
 	m.Draining = s.Draining()
 	m.CacheHits, m.CacheMisses, m.CacheEvictions, m.CacheEntries, m.CacheBytes = s.cache.stats()
-	m.TraceFormat = s.cfg.TraceFormat.String()
 	tc := experiment.CurrentTraceCacheStats()
 	m.TraceCacheEntries = tc.Entries
 	m.TraceCacheBytes = tc.Bytes
-	m.TraceCacheDirect = tc.DirectBuilt
-	m.TraceCacheSummarized = tc.Summarized
 	if s.store != nil {
 		m.StoreEntries, m.StoreBytes = s.store.Stats()
 		m.JournalReplayed = s.journalReplayed

@@ -91,26 +91,6 @@ func (e *Engine) SetRecorder(r Recorder) error {
 	return nil
 }
 
-// Passive reports whether the AOS can feed nothing back into the
-// simulated machine: no promotion callback is installed and no method
-// carries hooks. A passive AOS never charges instrumentation overhead
-// and never triggers reconfigurations, so a replayed machine's
-// evolution is a pure function of the trace — the precondition the
-// span-parallel replay (rtrace.Trace.ReplayParallel) checks before
-// splitting a run across goroutines. Sampling may still be active:
-// sample credits only touch profiles, never the machine.
-func (a *AOS) Passive() bool {
-	if a.OnPromote != nil {
-		return false
-	}
-	for _, h := range a.hooks {
-		if h != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // ReplayMethodEnter drives the AOS method-entry event from a trace
 // replayer, exactly as the engine's frame push would (promotion check,
 // hotspot span tracking, entry hooks with their overhead charges).
