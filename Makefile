@@ -93,6 +93,7 @@ cover:
 # Short fuzzing sessions for the differential targets.
 fuzz:
 	$(GO) test -fuzz=FuzzEngineVsReference -fuzztime=20s ./internal/vm
+	$(GO) test -fuzz=FuzzEngineUnderManagement -fuzztime=20s ./internal/vm
 	$(GO) test -fuzz=FuzzCacheVsReference -fuzztime=20s ./internal/cache
 	$(GO) test -fuzz=FuzzDetector -fuzztime=20s ./internal/bbv
 	$(GO) test -fuzz=FuzzRecorderCalls -fuzztime=20s ./internal/rtrace
@@ -150,6 +151,7 @@ ci: build vet fmt-check doclint
 	$(GO) test -fuzz=FuzzDetector -fuzztime=10s -run=^$$ ./internal/bbv
 	$(GO) test -fuzz=FuzzRecorderCalls -fuzztime=10s -run=^$$ ./internal/rtrace
 	$(MAKE) chaos
+	$(MAKE) replay-check
 	$(MAKE) server-smoke
 	$(MAKE) optimize-smoke
 	$(MAKE) crash-smoke

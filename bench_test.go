@@ -431,7 +431,10 @@ func BenchmarkEngine(b *testing.B) {
 
 // BenchmarkRecordSummary is BenchmarkEngine with the recorder
 // installed: the record-once overhead of building the packed
-// summarized op stream straight from the engine's events.
+// summarized op stream straight from the engine's events. Next to
+// Minstr/s it reports trace-bytes/instr (the sealed trace's MemBytes
+// per simulated instruction), a host-independent measure of the
+// trace format's size.
 func BenchmarkRecordSummary(b *testing.B) {
 	spec, _ := acedo.BenchmarkByName("compress")
 	prog, err := spec.Build()
@@ -439,7 +442,7 @@ func BenchmarkRecordSummary(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	var simulated uint64
+	var simulated, traceBytes uint64
 	for i := 0; i < b.N; i++ {
 		mach, err := machine.New(machine.PaperConfig(10))
 		if err != nil {
@@ -457,12 +460,15 @@ func BenchmarkRecordSummary(b *testing.B) {
 		if err := eng.Run(2_000_000); err != nil && err != vm.ErrBudget {
 			b.Fatal(err)
 		}
-		if _, err := rec.Finish(eng.Halted()); err != nil {
+		tr, err := rec.Finish(eng.Halted())
+		if err != nil {
 			b.Fatal(err)
 		}
 		simulated += mach.Instructions()
+		traceBytes += uint64(tr.MemBytes())
 	}
 	b.ReportMetric(float64(simulated)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+	b.ReportMetric(float64(traceBytes)/float64(simulated), "trace-bytes/instr")
 }
 
 // BenchmarkWorkloadGen measures suite program generation.

@@ -65,6 +65,11 @@ type Cache struct {
 	numSets   uint64
 	setMask   uint64
 	lines     []line // numSets × ways, set-major
+	// spare is the array the last Resize migrated out of, kept so
+	// the next Resize can reuse it instead of allocating: a managed
+	// run resizes its caches many times, and a fresh array per
+	// resize would be most of the garbage a replay makes.
+	spare []line
 
 	useTick uint64
 	stats   Stats
@@ -114,7 +119,13 @@ func (c *Cache) configure(sizeBytes int) error {
 	c.sizeBytes = sizeBytes
 	c.numSets = uint64(numSets)
 	c.setMask = c.numSets - 1
-	c.lines = make([]line, numSets*c.ways)
+	if n := numSets * c.ways; cap(c.spare) >= n {
+		c.lines = c.spare[:n]
+		clear(c.lines)
+	} else {
+		c.lines = make([]line, n)
+	}
+	c.spare = nil
 	return nil
 }
 
@@ -288,6 +299,7 @@ func (c *Cache) Resize(newSizeBytes int) (writebacks int, err error) {
 			writebacks += c.place(ln)
 		}
 	}
+	c.spare = old
 	c.stats.Resizes++
 	c.stats.Writebacks += uint64(writebacks)
 	c.stats.FlushWritebacks += uint64(writebacks)

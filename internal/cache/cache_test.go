@@ -197,6 +197,62 @@ func TestResizeRoundTripKeepsWorkingSet(t *testing.T) {
 	}
 }
 
+func TestResizeReusesArrays(t *testing.T) {
+	c := MustNew("c", 8192, 64, 2)
+	for i := 0; i < 4; i++ { // both arrays reach full size
+		if _, err := c.Resize([]int{1024, 8192}[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, size := range []int{2048, 8192, 1024, 4096} {
+			c.Access(uint64(n*64), n%3 == 0)
+			n++
+			if _, err := c.Resize(size); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("resizes between sizes already held allocate %v times, want 0", allocs)
+	}
+}
+
+// TestResizeReuseMatchesFreshArrays holds a cache whose resizes reuse
+// the previous array to one that migrates into a fresh array every
+// time: any state left behind in a reused array would show as a
+// different hit, write-back or stats sequence.
+func TestResizeReuseMatchesFreshArrays(t *testing.T) {
+	sizes := []int{1024, 2048, 4096, 8192}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c, fresh := MustNew("c", 8192, 64, 2), MustNew("c", 8192, 64, 2)
+		for i := 0; i < 2000; i++ {
+			if rng.Intn(20) == 0 {
+				size := sizes[rng.Intn(len(sizes))]
+				fresh.spare = nil
+				wbC, errC := c.Resize(size)
+				wbF, errF := fresh.Resize(size)
+				if errC != nil || errF != nil || wbC != wbF {
+					t.Logf("step %d resize %d: (%d, %v) vs fresh (%d, %v)", i, size, wbC, errC, wbF, errF)
+					return false
+				}
+			}
+			addr, write := uint64(rng.Intn(32768)), rng.Intn(3) == 0
+			if got, want := c.Access(addr, write), fresh.Access(addr, write); got != want {
+				t.Logf("step %d addr %d write %v: %+v vs fresh %+v", i, addr, write, got, want)
+				return false
+			}
+		}
+		return c.Stats() == fresh.Stats() && c.DirtyLines() == fresh.DirtyLines() &&
+			c.ValidLines() == fresh.ValidLines()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
 // refModel is a brute-force set-associative LRU cache used as the
 // oracle for the property test.
 type refModel struct {

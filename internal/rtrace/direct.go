@@ -19,20 +19,21 @@ const summaryMaxMemBytes = 576 << 20
 
 // summaryMemBytes is the summary's resident size: the bytes allocated
 // for it, not the bytes in use — every op-stream segment in full, and
-// the capacity of the ext/data/footprint side tables.
+// the capacity of the shape, ext, data and footprint tables.
 func summaryMemBytes(s *summary) int {
 	const (
-		segBytes  = int(unsafe.Sizeof(opSeg{}))
-		extBytes  = int(unsafe.Sizeof(sumExt{}))
-		footBytes = int(unsafe.Sizeof(cache.FootLine{}))
+		segBytes   = int(unsafe.Sizeof(opSeg{}))
+		shapeBytes = int(unsafe.Sizeof(opShape{}))
+		extBytes   = int(unsafe.Sizeof(sumExt{}))
+		footBytes  = int(unsafe.Sizeof(cache.FootLine{}))
 	)
-	return len(s.segs)*segBytes + cap(s.ext)*extBytes +
-		cap(s.data)*8 + cap(s.foot)*footBytes
+	return len(s.segs)*segBytes + cap(s.shapes)*shapeBytes +
+		cap(s.ext)*extBytes + cap(s.data)*8 + cap(s.foot)*footBytes
 }
 
 // MemBytes reports the trace's resident memory: its summary's op
-// stream and side tables — the number cache budgets and telemetry
-// charge.
+// stream, shape table and side tables — the number cache budgets and
+// telemetry charge.
 func (t *Trace) MemBytes() int { return summaryMemBytes(t.sum) }
 
 // Prime is a no-op kept for callers that prepare cached traces: a

@@ -77,6 +77,9 @@ func measuredRecording(t *testing.T, bench string) (tr *Trace, allocated, live i
 	tr = recordDirect(t, prog, eng, 0)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	// The engine (and its machine) must outlive the "after" reading,
+	// or its collection would offset the trace in the live-heap delta.
+	runtime.KeepAlive(eng)
 	return tr, int64(after.TotalAlloc - before.TotalAlloc), int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }
 
@@ -90,8 +93,8 @@ func requireSegments(t *testing.T, label string, s *summary) {
 		t.Fatalf("%s: %d ops in %d segments, want at least 3 segments", label, s.n, len(s.segs))
 	}
 	for k := 1; k < len(s.segs); k++ {
-		last := s.segs[k-1].ops[segOps-1]
-		first := s.segs[k].ops[0]
+		last := s.shapes[s.segs[k-1][segOps-1]>>32]
+		first := s.shapes[s.segs[k][0]>>32]
 		if last.w&opBoundaryMask == 0 && first.w&opBoundaryMask == 0 {
 			return
 		}
@@ -118,6 +121,7 @@ func (l *blockLog) listen(pc uint64, instrs int) {
 // counters, L1D/L2 stats and LRU clocks, every set's content, and the
 // timing breakdown — both on the fused path and with a block listener,
 // which must also fire exactly as the recording run's did.
+// Every complete recording must also cost at most 9 bytes per op.
 func TestReplayMatchesRecording(t *testing.T) {
 	for _, spec := range workload.Suite() {
 		for _, budget := range []uint64{0, 2_000_000} {
@@ -132,7 +136,14 @@ func TestReplayMatchesRecording(t *testing.T) {
 			if tr.Truncated() != (budget != 0) {
 				t.Errorf("%s: truncated = %v", label, tr.Truncated())
 			}
-			requireSegments(t, label, tr.summaryFor(prog))
+			s := tr.summaryFor(prog)
+			requireSegments(t, label, s)
+			// Format size: an op costs 8 bytes, and the shape and
+			// side tables plus the last segment's slack must stay
+			// within one more byte per op of a full recording.
+			if mem := tr.MemBytes(); budget == 0 && mem > 9*s.n {
+				t.Errorf("%s: MemBytes %d for %d ops (%.2f bytes/op), want <= 9", label, mem, s.n, float64(mem)/float64(s.n))
+			}
 			want := machineState(mach)
 
 			fused := freshEnv(t, prog)
@@ -157,7 +168,7 @@ func TestReplayMatchesRecording(t *testing.T) {
 }
 
 // checkSameSummary fails unless two summaries are op-identical: the
-// same op and pc streams, side tables, and program fingerprint.
+// same op stream, shape and side tables, and program fingerprint.
 func checkSameSummary(t *testing.T, label string, want, got *summary) {
 	t.Helper()
 	if want == nil || got == nil {
@@ -170,11 +181,13 @@ func checkSameSummary(t *testing.T, label string, want, got *summary) {
 		n := min(segOps, want.n-si<<segShift)
 		w, g := want.segs[si], got.segs[si]
 		for j := 0; j < n; j++ {
-			if w.ops[j] != g.ops[j] || w.pcs[j] != g.pcs[j] {
-				t.Fatalf("%s: op %d differs: got %+v pc %#x, want %+v pc %#x",
-					label, si<<segShift+j, g.ops[j], g.pcs[j], w.ops[j], w.pcs[j])
+			if w[j] != g[j] {
+				t.Fatalf("%s: op %d differs: got %#x, want %#x", label, si<<segShift+j, g[j], w[j])
 			}
 		}
+	}
+	if !reflect.DeepEqual(got.shapes, want.shapes) {
+		t.Errorf("%s: shape table differs (%d vs %d shapes)", label, len(got.shapes), len(want.shapes))
 	}
 	if !reflect.DeepEqual(got.ext, want.ext) {
 		t.Errorf("%s: ext table differs (%d vs %d records)", label, len(got.ext), len(want.ext))

@@ -164,7 +164,8 @@ func driveDirect(data []byte, truncated bool) (tr *Trace, batch uint64, err erro
 // machines.
 func FuzzRecorderCalls(f *testing.F) {
 	// Seeds: an empty sequence, lone end calls, a tiny valid sequence, a
-	// truncated one, escaped operands, masked entries, and garbage.
+	// truncated one, escaped operands, masked entries, garbage, and bodies
+	// that must take the ext path.
 	f.Add([]byte{}, false)
 	f.Add([]byte{cExt | extEndHalted<<3}, false)
 	f.Add([]byte{cExt | extEndBudget<<3}, true)
@@ -174,6 +175,7 @@ func FuzzRecorderCalls(f *testing.F) {
 	f.Add([]byte{cExt | extEnterMasks<<3, 0, 1, 1, cExt | extDataTLB<<3, 1, 4, cExt | extEndHalted<<3}, false)
 	f.Add([]byte{cBlock | 3<<3, cExit, cExit}, false)
 	f.Add([]byte{0xFF, 0xFE, 0xFD, 0x01, 0x02}, true)
+	f.Add(extPathInput, false) // wide and multi-access bodies: the ext path
 
 	f.Fuzz(func(t *testing.T, data []byte, truncated bool) {
 		okErr := func(label string, err error) {

@@ -10,18 +10,24 @@
 // cache.TryApplyFootprint) — and everything else falls back to the
 // exact per-access path.
 //
-// The op stream is deliberately tiny — 16 bytes per op — because the
+// The op stream is deliberately tiny — 8 bytes per op — because the
 // replay loop is memory-bound: the suite's traces record millions
 // of ops, so every extra op byte is a byte of DRAM traffic on every
-// replay. It is stored as a list of fixed-size segments (opSeg), so
-// the recorder appends a fresh segment when the current one fills and
-// never copies: a trace carries at most one partly filled segment of
-// slack, and no recording needs its length known up front. The common
-// case (an intra-method block entry with a short retire batch and at
-// most one data access) packs into one word of bit-fields plus one
-// word holding the access itself; everything rare — method entries,
-// masked fetch walks, wide bodies — overflows into a fat side table
-// consulted only when an op's ext bit is set.
+// replay. Each op is one word: the high half indexes a per-trace table
+// of interned op shapes (the op's kind and body counts, plus its
+// block's pc), the low half is the operand — the body's single data
+// access, or an ext-table index. The stream repeats a few hundred
+// shapes millions of times, so the shape table stays in L1 while the
+// walk streams the operands. The stream is stored as a list of
+// fixed-size segments (opSeg), so the recorder appends a fresh
+// segment when the current one fills and never copies: a trace
+// carries at most one partly filled segment of slack, and no recording
+// needs its length known up front. The common case (an intra-method
+// block entry with a short retire batch and at most one data access
+// whose address fits the operand) packs into its shape; everything
+// rare — method entries, masked fetch walks, multi-access bodies, wide
+// addresses or counts — overflows into a fat side table consulted only
+// when an op's shape has the ext bit set.
 package rtrace
 
 import (
@@ -50,69 +56,62 @@ const (
 	opEndBudget        // end marker: instruction budget reached
 )
 
-// Packed-op bit layout of sumOp.w. Any op whose fields do not fit
-// (and every opEnter or masked fetch) is stored as an ext record
-// instead, with opExtBit set and sumOp.d holding the summary.ext
-// index.
+// Shape bit layout of opShape.w. Any op whose fields do not fit (and
+// every opEnter, masked fetch, or multi-access body) is stored as an
+// ext record instead: its shape is just the kind with opExtBit set,
+// and its operand is the summary.ext index.
 const (
 	opKindBits = 3
 	opExtBit   = 1 << 3
-	opFastBit  = 1 << 4
 
-	opLinesShift = 5  // 6 bits: I-lines in the fetch walk
-	opFootShift  = 11 // 6 bits: footprint length (multi-access bodies)
-	opDataShift  = 17 // 10 bits: body data-access count
-	opTLBShift   = 27 // 10 bits: body D-TLB miss count
-	opBrShift    = 37 // 8 bits: body branch mispredictions
-	opBatchShift = 45 // 19 bits: body retired-instruction total
+	opLinesShift = 4       // 6 bits: I-lines in the fetch walk
+	opDataBit    = 1 << 10 // the body's single data access is the operand
+	opTLBShift   = 11      // 1 bit: ... and it missed the D-TLB
+	opBrShift    = 12      // 8 bits: body branch mispredictions
+	opBatchShift = 20      // 19 bits: body retired-instruction total
 
 	opLinesMax = 1<<6 - 1
-	opFootMax  = 1<<6 - 1
-	opDataMax  = 1<<10 - 1
-	opTLBMax   = 1<<10 - 1
 	opBrMax    = 1<<8 - 1
 	opBatchMax = 1<<19 - 1
-	opInstrMax = 1<<8 - 1 // block instr count packable into the pc stream
+	opInstrMax = 1<<8 - 1 // block instr count packable into the pc word
 
 	// maxPackedPC bounds the block-start pc packable into the 32-bit
-	// pc stream alongside the 8-bit instr count; blocks beyond it (no
+	// pc word alongside the 8-bit instr count; blocks beyond it (no
 	// suite program comes near) are stored as ext records, which carry
 	// the full-width pc.
 	maxPackedPC = 1<<24 - 1
+
+	// maxOperand bounds a packed op's data access (wordAddr<<1 |
+	// write): it shares the op word with the shape index.
+	maxOperand = 1<<32 - 1
 )
 
-// sumOp is one boundary event plus its aggregated body, packed into 16
-// bytes. w holds the kind and the bit-fields above; d holds the body's
-// single data access (wordAddr<<1 | write) when nData==1, the packed
-// dataOff|footOff<<32 table offsets when nData>=2, or the ext-table
-// index when opExtBit is set.
-type sumOp struct {
-	w uint64
-	d uint64
+// opShape is one distinct packed op: w holds the kind and the
+// bit-fields above, pc the block's pc<<8 | nInstrs (0 when no block is
+// open; listener replays only). Ext ops share one shape per kind.
+type opShape struct {
+	w  uint64
+	pc uint32
 }
 
-// Op-stream segmentation: segOps ops (1 MiB of ops plus 256 KiB of
-// pcs) per segment. Op i lives at offset i&segMask of segment
-// i>>segShift.
+// Op-stream segmentation: segOps 8-byte ops (512 KiB) per segment. Op
+// i lives at offset i&segMask of segment i>>segShift; its high 32 bits
+// index summary.shapes, its low 32 bits are the operand.
 const (
 	segShift = 16
 	segOps   = 1 << segShift
 	segMask  = segOps - 1
 )
 
-// opSeg is one fixed-size segment of the op stream and its parallel pc
-// stream (pcs[k] is pc<<8 | nInstrs for a packed block op, used by
-// listener replays only). Every segment of a summary but the last is
-// full.
-type opSeg struct {
-	ops [segOps]sumOp
-	pcs [segOps]uint32
-}
+// opSeg is one fixed-size segment of the op stream. Every segment of a
+// summary but the last is full.
+type opSeg [segOps]uint64
 
 // sumExt is the unpacked form of a rare op: method entries (which need
 // the method ID), masked fetch walks (which need the line range and
 // the recorded I-TLB/L1I outcome masks), and bodies whose counts
-// overflow the packed fields.
+// overflow the packed fields, and every body with two or more data
+// accesses or an access too wide for the operand.
 type sumExt struct {
 	firstLine uint64 // opEnter/opBlock: first I-line byte address
 	pc        uint64 // opEnter/opBlock: block's first-instruction index
@@ -131,14 +130,15 @@ type sumExt struct {
 	fastOK    bool   // footprint small enough for the bulk-apply path
 }
 
-// summary is a recording resolved against its program: the packed op
-// stream, the side tables rare ops and listener replays index into,
-// and the flat data-access and footprint tables for multi-access
-// bodies. Immutable once Finish seals it, and shared by every
-// concurrent replay of the trace.
+// summary is a recording resolved against its program: the op stream,
+// the shape table every op indexes, the side table rare ops index
+// into, and the flat data-access and footprint tables for ext bodies.
+// Immutable once Finish seals it, and shared by every concurrent
+// replay of the trace.
 type summary struct {
 	segs    []*opSeg
 	n       int // ops in the stream, across segs
+	shapes  []opShape
 	ext     []sumExt
 	data    []uint64 // wordAddr<<1 | write bit, in access order
 	foot    []cache.FootLine
@@ -237,6 +237,19 @@ func clampMasks(nLines, tlbMask, missMask uint64) (uint64, uint64) {
 	return tlbMask, missMask
 }
 
+// shapeMemoBits sizes the recorder's direct-mapped shape memo: 1024
+// slots, comfortably above the few hundred distinct shapes a suite
+// recording interns, so the record hot path almost never reaches the
+// map behind it.
+const shapeMemoBits = 10
+
+// shapeMemoSlot is one memo entry for shape (w, pc); idx is its table
+// index plus one, so the zero slot is empty.
+type shapeMemoSlot struct {
+	w       uint64
+	pc, idx uint32
+}
+
 // sumBuilder is the boundary/body state machine the recorder drives:
 // a boundary event commits the open op via next(), body events
 // accumulate into open/body, and emit() decides packed-vs-ext.
@@ -250,12 +263,15 @@ type sumBuilder struct {
 	open   opBuild
 	body   []uint64 // current op's data accesses, wordAddr<<1|write
 	tail   *opSeg   // the stream's last segment, the one being filled
+	memo   [1 << shapeMemoBits]shapeMemoSlot
+	index  map[opShape]uint32 // every interned shape's table index
 }
 
 func (b *sumBuilder) init(prog *program.Program) {
 	b.s = &summary{progSig: progSigOf(prog)}
 	b.prog = prog
 	b.open = opBuild{kind: opSeq, method: -1}
+	b.index = make(map[opShape]uint32)
 	b.geo = make([][]blkGeom, prog.NumMethods())
 	for i := range b.geo {
 		m := prog.Method(program.MethodID(i))
@@ -311,18 +327,36 @@ func (b *sumBuilder) footprintOf() (uint8, bool) {
 // addBatch accumulates a retire batch into the open op.
 func (b *sumBuilder) addBatch(n uint64) { b.open.batch += n }
 
-// push commits one op and its pc word to the stream, starting a fresh
-// segment when the last one is full (or none exists yet). Committed
-// ops never move.
-func (b *sumBuilder) push(w, d uint64, pc uint32) {
+// intern sets memo slot m to shape (w, pc) and its table index,
+// adding the shape to the table on first sight.
+func (b *sumBuilder) intern(m *shapeMemoSlot, w uint64, pc uint32) {
+	sh := opShape{w: w, pc: pc}
+	idx, ok := b.index[sh]
+	if !ok {
+		idx = uint32(len(b.s.shapes))
+		b.s.shapes = append(b.s.shapes, sh)
+		b.index[sh] = idx
+	}
+	*m = shapeMemoSlot{w: w, pc: pc, idx: idx + 1}
+}
+
+// push commits one op — its interned shape and its operand — to the
+// stream, starting a fresh segment when the last one is full (or none
+// exists yet). Committed ops never move. The direct-mapped memo
+// answers the shape lookup on the hot path; only a memo miss consults
+// the map.
+func (b *sumBuilder) push(w uint64, pc uint32, operand uint64) {
+	m := &b.memo[((w^uint64(pc)<<40)*0x9E3779B97F4A7C15)>>(64-shapeMemoBits)]
+	if m.w != w || m.pc != pc || m.idx == 0 {
+		b.intern(m, w, pc)
+	}
 	s := b.s
 	k := s.n & segMask
 	if k == 0 {
 		b.tail = new(opSeg)
 		s.segs = append(s.segs, b.tail)
 	}
-	b.tail.ops[k] = sumOp{w: w, d: d}
-	b.tail.pcs[k] = pc
+	b.tail[k] = uint64(m.idx-1)<<32 | operand
 	s.n++
 }
 
@@ -341,9 +375,20 @@ func (b *sumBuilder) growData(need int) {
 	b.s.data = data
 }
 
-// emit commits the open op: packed when every field fits and no
-// ext-only feature (method identity, fetch masks) is involved, an
-// ext record otherwise.
+// packedW is the shape word of the open op with its at most one data
+// access (dtlb is then 0 or 1).
+func (o *opBuild) packedW(nData int) uint64 {
+	return uint64(o.kind) |
+		o.blkLines<<opLinesShift |
+		uint64(nData)*opDataBit |
+		uint64(o.dtlb)<<opTLBShift |
+		uint64(o.brWrong)<<opBrShift |
+		o.batch<<opBatchShift
+}
+
+// emit commits the open op: packed when it has at most one data access
+// that fits the operand, every field fits, and no ext-only feature
+// (method identity, fetch masks) is involved; an ext record otherwise.
 func (b *sumBuilder) emit() {
 	s, open := b.s, &b.open
 	nData := uint32(len(b.body))
@@ -357,101 +402,95 @@ func (b *sumBuilder) emit() {
 		// ext decision).
 		nInstrs, blkPC = 0, 0
 	}
-	if len(s.data)+int(nData) > cap(s.data) {
-		b.growData(len(s.data) + int(nData))
-	}
-	// fastOK only ever holds for multi-access bodies: single
-	// accesses replay directly (an empty footprint would bulk-
-	// "apply" vacuously, charging energy without touching the
-	// cache), and footprintOf reports overflow for the rest.
-	var nFoot uint8
-	var fastOK bool
-	if nData >= 2 {
-		nFoot, fastOK = b.footprintOf()
-	}
 	ext := open.method >= 0 || open.tlbMask != 0 || open.missMask != 0 ||
-		blkLines > opLinesMax || nData > opDataMax ||
-		open.dtlb > opTLBMax || open.brWrong > opBrMax ||
-		open.batch > opBatchMax || nInstrs > opInstrMax ||
-		blkPC > maxPackedPC ||
-		(nData == 1 && open.dtlb > 1)
-	if ext {
-		x := sumExt{
-			batch:    open.batch,
-			tlbMask:  open.tlbMask,
-			missMask: open.missMask,
-			dataOff:  uint32(len(s.data)),
-			footOff:  uint32(len(s.foot)) - uint32(nFoot),
-			nData:    nData,
-			nInstrs:  nInstrs,
-			dtlb:     open.dtlb,
-			brWrong:  open.brWrong,
-			method:   open.method,
-			nLines:   uint16(blkLines),
-			nFoot:    nFoot,
-			fastOK:   fastOK,
-		}
-		if blkLines != 0 {
-			x.firstLine = open.blkFirst
-			x.pc = open.blkPC
-		}
-		s.data = append(s.data, b.body...)
-		b.push(uint64(open.kind)|opExtBit, uint64(len(s.ext)), 0)
-		s.ext = append(s.ext, x)
-	} else {
-		w := uint64(open.kind) |
-			blkLines<<opLinesShift |
-			uint64(nFoot)<<opFootShift |
-			uint64(nData)<<opDataShift |
-			uint64(open.dtlb)<<opTLBShift |
-			uint64(open.brWrong)<<opBrShift |
-			open.batch<<opBatchShift
-		if fastOK {
-			w |= opFastBit
-		}
+		blkLines > opLinesMax || nData > 1 || open.dtlb > nData ||
+		open.brWrong > opBrMax || open.batch > opBatchMax ||
+		nInstrs > opInstrMax || blkPC > maxPackedPC ||
+		(nData == 1 && b.body[0] > maxOperand)
+	if !ext {
 		var d uint64
-		switch {
-		case nData == 1:
+		if nData == 1 {
 			d = b.body[0]
-		case nData >= 2:
-			d = uint64(uint32(len(s.data))) | uint64(uint32(len(s.foot))-uint32(nFoot))<<32
-			s.data = append(s.data, b.body...)
 		}
 		var pc uint32
 		if blkLines != 0 {
 			pc = uint32(blkPC<<8 | uint64(nInstrs))
 		}
-		b.push(w, d, pc)
+		b.push(open.packedW(int(nData)), pc, d)
+		b.body = b.body[:0]
+		return
 	}
+	if len(s.data)+int(nData) > cap(s.data) {
+		b.growData(len(s.data) + int(nData))
+	}
+	// fastOK only ever holds for multi-access bodies: single accesses
+	// replay directly (an empty footprint would bulk-"apply"
+	// vacuously, charging energy without touching the cache), and
+	// footprintOf reports overflow for the rest.
+	var nFoot uint8
+	var fastOK bool
+	if nData >= 2 {
+		nFoot, fastOK = b.footprintOf()
+	}
+	x := sumExt{
+		batch:    open.batch,
+		tlbMask:  open.tlbMask,
+		missMask: open.missMask,
+		dataOff:  uint32(len(s.data)),
+		footOff:  uint32(len(s.foot)) - uint32(nFoot),
+		nData:    nData,
+		nInstrs:  nInstrs,
+		dtlb:     open.dtlb,
+		brWrong:  open.brWrong,
+		method:   open.method,
+		nLines:   uint16(blkLines),
+		nFoot:    nFoot,
+		fastOK:   fastOK,
+	}
+	if blkLines != 0 {
+		x.firstLine = open.blkFirst
+		x.pc = open.blkPC
+	}
+	s.data = append(s.data, b.body...)
+	b.push(uint64(open.kind)|opExtBit, 0, uint64(len(s.ext)))
+	s.ext = append(s.ext, x)
 	b.body = b.body[:0]
+}
+
+// fastLane reports whether the open op commits through the inline
+// fast lane: no boundary-time ext condition (esc), at most one data
+// access that fits the operand, and in-range counts. dtlb ≤ nData
+// holds structurally (every dtlb increment is paired with a body
+// append), so the lane's packed form is exactly emit's.
+func (b *sumBuilder) fastLane() bool {
+	o := &b.open
+	return !o.esc && o.batch <= opBatchMax && o.brWrong <= opBrMax &&
+		(len(b.body) == 0 || len(b.body) == 1 && b.body[0] <= maxOperand)
+}
+
+// pushFast commits the open op through the fast lane (see fastLane).
+func (b *sumBuilder) pushFast() {
+	n := len(b.body)
+	var d uint64
+	if n == 1 {
+		d = b.body[0]
+		b.body = b.body[:0]
+	}
+	b.push(b.open.packedW(n), b.open.pcWord, d)
 }
 
 // next commits the open op and opens the next one at a boundary event.
 // The overwhelmingly common op — an unmasked intra-method block with at
-// most one data access and in-range counts — commits through an inline
-// fast lane producing exactly emit's packed form: esc pre-checks every
-// boundary-time ext condition, dtlb ≤ nData holds structurally (every
-// dtlb increment is paired with a body append), and nFoot/fastOK are
-// identically zero below two accesses.
+// most one data access and in-range counts — commits through the
+// inline fast lane, producing exactly emit's packed form.
 func (b *sumBuilder) next(kind uint8) {
-	o := &b.open
-	if !o.esc && len(b.body) < 2 && o.batch <= opBatchMax && o.brWrong <= opBrMax {
-		w := uint64(o.kind) |
-			o.blkLines<<opLinesShift |
-			uint64(len(b.body))<<opDataShift |
-			uint64(o.dtlb)<<opTLBShift |
-			uint64(o.brWrong)<<opBrShift |
-			o.batch<<opBatchShift
-		var d uint64
-		if len(b.body) == 1 {
-			d = b.body[0]
-			b.body = b.body[:0]
-		}
-		b.push(w, d, o.pcWord)
+	if b.fastLane() {
+		b.pushFast()
 		// Partial reset: !esc guarantees method is -1 and both masks
 		// are 0 already, and blkInstrs/blkFirst/blkPC are dead while
 		// blkLines is 0 (setBlock rewrites them all together), so only
 		// the body aggregates and the block markers need clearing.
+		o := &b.open
 		o.kind = kind
 		o.pcWord = 0
 		o.blkLines = 0
@@ -494,29 +533,17 @@ func (b *sumBuilder) setBlock(g *blkGeom, tlbMask, missMask uint64) {
 }
 
 // block opens an opBlock boundary for the current method's block idx.
-// The ubiquitous case — unmasked fetch, plain geometry, a short body
-// on the op being committed — runs fused: one inline commit-and-reopen
-// producing exactly what next()+setBlock would, without the calls.
+// The ubiquitous case — unmasked fetch, plain geometry, a fast-lane
+// op being committed — runs fused: one inline commit-and-reopen
+// producing exactly what next()+setBlock would.
 func (b *sumBuilder) block(idx, tlbMask, missMask uint64) error {
 	if idx >= uint64(len(b.curGeo)) {
 		return fmt.Errorf("%w: block %d out of range", ErrMalformed, idx)
 	}
-	o := &b.open
 	g := &b.curGeo[idx]
-	if tlbMask|missMask == 0 && !g.esc && !o.esc && len(b.body) < 2 &&
-		o.batch <= opBatchMax && o.brWrong <= opBrMax {
-		w := uint64(o.kind) |
-			o.blkLines<<opLinesShift |
-			uint64(len(b.body))<<opDataShift |
-			uint64(o.dtlb)<<opTLBShift |
-			uint64(o.brWrong)<<opBrShift |
-			o.batch<<opBatchShift
-		var d uint64
-		if len(b.body) == 1 {
-			d = b.body[0]
-			b.body = b.body[:0]
-		}
-		b.push(w, d, o.pcWord)
+	if tlbMask|missMask == 0 && !g.esc && b.fastLane() {
+		b.pushFast()
+		o := &b.open
 		o.kind = opBlock
 		o.blkLines = g.lines
 		o.blkInstrs = g.instrs
@@ -575,8 +602,8 @@ func (b *sumBuilder) end(halted bool) {
 // for the body's whole retire total (exact by the batched-watermark
 // argument in vm.AOS.sampleDueN), bulk D-TLB/mispredict charges
 // (commutative integer constants within an instance), and a direct
-// access (single-access bodies), the footprint fast path, or the exact
-// per-access loop for the data stream.
+// access (packed single-access bodies), the footprint fast path, or the
+// exact per-access loop (ext bodies) for the data stream.
 type sumWalker struct {
 	s          *summary
 	prog       *program.Program
@@ -610,7 +637,7 @@ func newSumWalker(t *Trace, s *summary, env Env) *sumWalker {
 	}
 }
 
-// opBoundaryMask selects ops the fused walk cannot fold into a
+// opBoundaryMask selects shapes the fused walk cannot fold into a
 // straight-line run: every ext op, and every packed kind with bit 0
 // or bit 2 set (opEnter=1, opExit=3, opHalt=4, opEndHalted=5,
 // opEndBudget=6). The foldable kinds — opSeq=0 and opBlock=2 — are
@@ -637,7 +664,7 @@ func (w *sumWalker) walk() error {
 			continue
 		}
 		for j := 0; j < n; j++ {
-			if err := w.applyOp(g, j); err != nil {
+			if err := w.applyOp(g[j]); err != nil {
 				return err
 			}
 		}
@@ -662,27 +689,24 @@ func (w *sumWalker) walk() error {
 // ops flush first, then take the exact per-op path, so AOS hooks and
 // reconfigurations observe the same machine state as the unfused walk.
 func (w *sumWalker) walkFused(g *opSeg, n int) error {
-	mach, aos := w.mach, w.aos
-	ops := g.ops[:n]
+	mach, aos, shapes := w.mach, w.aos, w.s.shapes
+	ops := g[:n]
 	for i := 0; i < len(ops); {
 		var lines, batch, br, dtlb uint64
 		j := i
 		for ; j < len(ops); j++ {
 			o := ops[j]
-			if o.w&opBoundaryMask != 0 {
+			sw := shapes[o>>32].w
+			if sw&opBoundaryMask != 0 {
 				break
 			}
-			lines += o.w >> opLinesShift & opLinesMax
-			if nData := o.w >> opDataShift & opDataMax; nData != 0 {
-				dtlb += o.w >> opTLBShift & opTLBMax
-				if nData == 1 {
-					mach.ReplayData(o.d>>1, o.d&1 != 0, false)
-				} else {
-					w.replayBody(o.w, o.d, nData, 0)
-				}
+			lines += sw >> opLinesShift & opLinesMax
+			if sw&opDataBit != 0 {
+				dtlb += sw >> opTLBShift & 1
+				mach.ReplayData(uint64(uint32(o))>>1, o&1 != 0, false)
 			}
-			batch += o.w >> opBatchShift
-			br += o.w >> opBrShift & opBrMax
+			batch += sw >> opBatchShift
+			br += sw >> opBrShift & opBrMax
 		}
 		if lines != 0 {
 			mach.ReplayFetchCharges(lines, 0)
@@ -703,7 +727,7 @@ func (w *sumWalker) walkFused(g *opSeg, n int) error {
 		if j >= len(ops) {
 			return nil
 		}
-		if err := w.applyOp(g, j); err != nil {
+		if err := w.applyOp(ops[j]); err != nil {
 			return err
 		}
 		i = j + 1
@@ -711,22 +735,22 @@ func (w *sumWalker) walkFused(g *opSeg, n int) error {
 	return nil
 }
 
-// applyOp replays op j of segment g exactly: the boundary action in
-// recorded order, then the body, retire batch with sampler poll, and
+// applyOp replays one op exactly: the boundary action in recorded
+// order, then the body, retire batch with sampler poll, and
 // misprediction charges.
-func (w *sumWalker) applyOp(g *opSeg, j int) error {
-	mach, aos, o := w.mach, w.aos, g.ops[j]
-	if o.w&opExtBit != 0 {
-		return w.applyExt(o.w&(1<<opKindBits-1), &w.s.ext[o.d])
+func (w *sumWalker) applyOp(o uint64) error {
+	mach, aos := w.mach, w.aos
+	sh := &w.s.shapes[o>>32]
+	if sh.w&opExtBit != 0 {
+		return w.applyExt(sh.w&(1<<opKindBits-1), &w.s.ext[uint32(o)])
 	}
-	switch o.w & (1<<opKindBits - 1) {
+	switch sh.w & (1<<opKindBits - 1) {
 	case opBlock:
-		if n := o.w >> opLinesShift & opLinesMax; n != 0 {
+		if n := sh.w >> opLinesShift & opLinesMax; n != 0 {
 			mach.ReplayFetchCharges(n, 0)
 		}
 		if w.listener != nil {
-			p := uint64(g.pcs[j])
-			w.listener(p>>8, int(p&opInstrMax))
+			w.listener(uint64(sh.pc>>8), int(sh.pc&opInstrMax))
 		}
 
 	case opExit:
@@ -740,22 +764,17 @@ func (w *sumWalker) applyOp(g *opSeg, j int) error {
 		}
 	}
 
-	if nData := o.w >> opDataShift & opDataMax; nData != 0 {
-		dtlb := o.w >> opTLBShift & opTLBMax
-		if nData == 1 {
-			mach.ReplayData(o.d>>1, o.d&1 != 0, dtlb != 0)
-		} else {
-			w.replayBody(o.w, o.d, nData, dtlb)
-		}
+	if sh.w&opDataBit != 0 {
+		mach.ReplayData(uint64(uint32(o))>>1, o&1 != 0, sh.w>>opTLBShift&1 != 0)
 	}
-	if batch := o.w >> opBatchShift; batch != 0 {
+	if batch := sh.w >> opBatchShift; batch != 0 {
 		mach.IssueBatch(batch)
 		w.batchSum += batch
 		if w.sampling {
 			aos.ReplayBatchPoll(mach.Instructions(), batch, w.ids)
 		}
 	}
-	if br := o.w >> opBrShift & opBrMax; br != 0 {
+	if br := sh.w >> opBrShift & opBrMax; br != 0 {
 		mach.ChargeMispredicts(br)
 	}
 	return nil
@@ -793,26 +812,6 @@ func (w *sumWalker) checkBoundary() error {
 		return ErrDiverged
 	}
 	return nil
-}
-
-// replayBody applies a packed multi-access body: the footprint bulk
-// path when every line is resident, the exact per-access loop
-// otherwise.
-func (w *sumWalker) replayBody(opw, opd, nData, dtlb uint64) {
-	mach := w.mach
-	dataOff, footOff := uint32(opd), uint32(opd>>32)
-	if opw&opFastBit != 0 && w.footOK {
-		nFoot := opw >> opFootShift & opFootMax
-		if mach.TryReplayDataFootprint(w.s.foot[footOff:uint64(footOff)+nFoot], nData, dtlb) {
-			return
-		}
-	}
-	for _, d := range w.s.data[dataOff : uint64(dataOff)+nData] {
-		mach.ReplayData(d>>1, d&1 != 0, false)
-	}
-	if dtlb != 0 {
-		mach.ChargeDataTLBMisses(dtlb)
-	}
 }
 
 // applyExt replays one ext op: the boundary action (method entry with

@@ -1,6 +1,7 @@
 package rtrace
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -106,5 +107,99 @@ func TestSummarizedReplayMatchesExact(t *testing.T) {
 			}
 			checkSameState(t, "summarized", want, machineState(sum.Mach))
 		})
+	}
+}
+
+// extPathInput is a driveDirect call sequence whose bodies must all
+// take the ext path but one: in method 0, block ops carrying a single
+// access at a word address ≥ 2^31 (too wide for the op's operand), two
+// accesses at such addresses, two accesses on one low line (exact path
+// when the line is cold, footprint bulk path once it is resident), and
+// finally a plain single low access, which stays packed. It is also a
+// FuzzRecorderCalls seed.
+var extPathInput = func() []byte {
+	// data encodes a cData call; zz is the zigzag address delta (15
+	// escapes to a uvarint that follows).
+	data := func(write bool, zz uint64) byte {
+		pay := zz << 1
+		if write {
+			pay |= 1
+		}
+		return cData | byte(pay)<<3
+	}
+	const wide = 1 << 31
+	in := []byte{cEnter, cBatch | 3<<3}
+	// A: one wide access (escaped delta +2^31+5).
+	in = append(in, cBlock|1<<3, data(true, 15))
+	in = binary.AppendUvarint(in, 2*(wide+5))
+	in = append(in, cBatch|2<<3)
+	// B: two wide accesses (+1, +7), a mispredicted branch.
+	in = append(in, cBlock|1<<3, data(false, 2), data(true, 14), cBatch|4<<3, cBranch)
+	// C: two accesses on a cold low line (escaped delta -2^31 → 13, +1).
+	in = append(in, cBlock|1<<3, data(false, 15))
+	in = binary.AppendUvarint(in, 2*wide-1)
+	in = append(in, data(true, 2), cBatch|3<<3)
+	// E: the same two accesses again (-1, +1), now resident.
+	in = append(in, cBlock|1<<3, data(false, 1), data(true, 2), cBatch|2<<3)
+	// D: one low access (+0 → 14), packed.
+	in = append(in, cBlock|1<<3, data(false, 0), cBatch|1<<3)
+	return append(in, cExit, cExt|extEndHalted<<3)
+}()
+
+// TestExtPathWideAndMultiAccess: a packed op holds at most one data
+// access, and only one whose wordAddr<<1|write fits the 32-bit
+// operand. Multi-access bodies and wide addresses must become ext
+// records, and replay bit-identically on the fused and the listener
+// walk, with every access reaching the L1D.
+func TestExtPathWideAndMultiAccess(t *testing.T) {
+	tr, _, err := driveDirect(extPathInput, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tr.summaryFor(fuzzProg)
+	var blocks []opShape
+	var ops []uint64
+	for si, g := range s.segs {
+		for _, o := range g[:min(segOps, s.n-si<<segShift)] {
+			if sh := s.shapes[o>>32]; sh.w&(1<<opKindBits-1) == opBlock {
+				blocks = append(blocks, sh)
+				ops = append(ops, o)
+			}
+		}
+	}
+	if len(blocks) != 5 {
+		t.Fatalf("%d block ops, want 5", len(blocks))
+	}
+	for i, want := range []uint32{1, 2, 2, 2} {
+		if blocks[i].w&opExtBit == 0 {
+			t.Fatalf("block op %d packed (shape %#x), want ext", i, blocks[i].w)
+		}
+		if x := s.ext[uint32(ops[i])]; x.nData != want {
+			t.Errorf("block op %d: ext record has %d accesses, want %d", i, x.nData, want)
+		}
+	}
+	if x := s.ext[uint32(ops[2])]; !x.fastOK || x.nFoot != 1 {
+		t.Errorf("one-line body: fastOK %v nFoot %d, want a 1-line bulk-applicable footprint", x.fastOK, x.nFoot)
+	}
+	if last := blocks[4]; last.w&opExtBit != 0 || last.w&opDataBit == 0 || ops[4]&maxOperand != 14<<1 {
+		t.Errorf("low single access: shape %#x operand %#x, want packed with operand %#x", last.w, ops[4]&maxOperand, 14<<1)
+	}
+
+	fused := fuzzEnv(t)
+	if err := tr.Replay(fused); err != nil {
+		t.Fatalf("fused replay: %v", err)
+	}
+	var log blockLog
+	listened := fuzzEnv(t)
+	listened.BlockListener = log.listen
+	if err := tr.Replay(listened); err != nil {
+		t.Fatalf("listener replay: %v", err)
+	}
+	checkSameState(t, "listener-vs-fused", machineState(fused.Mach), machineState(listened.Mach))
+	if log.n != 5 {
+		t.Errorf("listener fired %d times, want 5 (the entry does not fire)", log.n)
+	}
+	if got := fused.Mach.L1D.Stats().Accesses; got != 8 {
+		t.Errorf("L1D saw %d accesses, want 8", got)
 	}
 }
