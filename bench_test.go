@@ -401,6 +401,33 @@ func BenchmarkReplay(b *testing.B) {
 	b.ReportMetric(float64(res.Instr)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
+// BenchmarkReplayThreeCU measures the replay a configuration search
+// evaluates per candidate: jess recorded once outside the timer, then
+// replayed under the hotspot scheme with the issue-queue unit enabled,
+// so every retire batch also charges IQ energy.
+func BenchmarkReplayThreeCU(b *testing.B) {
+	spec, _ := acedo.BenchmarkByName("jess")
+	spec = spec.WithMainLoops(benchLoops)
+	opt := acedo.DefaultOptions().WithThreeCU()
+	_, tr, err := experiment.RecordedBaseline(spec, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if tr == nil {
+		b.Fatal("baseline recording not retained")
+	}
+	b.ResetTimer()
+	var instr uint64
+	for i := 0; i < b.N; i++ {
+		r, err := experiment.ReplayScheme(spec, acedo.SchemeHotspot, opt, tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instr += r.Instr
+	}
+	b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
 // BenchmarkEngine measures raw interpreter throughput in simulated
 // instructions per second.
 func BenchmarkEngine(b *testing.B) {

@@ -10,7 +10,11 @@
 // hierarchy").
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
 
 // Result describes the outcome of one cache access.
 type Result struct {
@@ -123,10 +127,44 @@ func (c *Cache) configure(sizeBytes int) error {
 		c.lines = c.spare[:n]
 		clear(c.lines)
 	} else {
-		c.lines = make([]line, n)
+		c.lines = newLines(n)
 	}
 	c.spare = nil
 	return nil
+}
+
+// linePools recycles line arrays across caches, one pool per
+// power-of-two capacity. Every run builds a fresh machine whose caches
+// start at their largest size; without reuse those arrays were most of
+// the garbage a process serving replays makes, and its GC cycle rate
+// scaled with that garbage over its (trace-sized) live heap.
+var linePools [bits.UintSize]sync.Pool
+
+// lineClass is the linePools index for n lines: ceil(log2 n).
+func lineClass(n int) int { return bits.Len(uint(n - 1)) }
+
+// newLines returns n zeroed lines, reusing a released array of the
+// same capacity class when the pool holds one.
+func newLines(n int) []line {
+	k := lineClass(n)
+	if p, ok := linePools[k].Get().(*[]line); ok {
+		s := (*p)[:n]
+		clear(s)
+		return s
+	}
+	return make([]line, n, 1<<k)
+}
+
+// Release hands the cache's line arrays to caches built later. The
+// cache must not be used afterwards: its arrays are gone, so any use
+// panics rather than touching a reused array.
+func (c *Cache) Release() {
+	for _, s := range [...][]line{c.lines, c.spare} {
+		if n := cap(s); n > 0 && n == 1<<lineClass(n) {
+			linePools[lineClass(n)].Put(&s)
+		}
+	}
+	c.lines, c.spare = nil, nil
 }
 
 // Name returns the cache's name.

@@ -219,6 +219,33 @@ func TestResizeReusesArrays(t *testing.T) {
 	}
 }
 
+// TestReleasedArraysStartClean: caches built after others released
+// their arrays (Release) get them back zeroed. A reused array with
+// stale lines would show as phantom valid or dirty lines.
+func TestReleasedArraysStartClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 20; round++ {
+		old := MustNew("c", 8192, 64, 2)
+		for i := 0; i < 500; i++ {
+			old.Access(uint64(rng.Intn(32768)), true)
+		}
+		if _, err := old.Resize(2048); err != nil { // leaves a spare too
+			t.Fatal(err)
+		}
+		old.Access(64, true)
+		old.Release()
+		for _, size := range []int{8192, 2048} {
+			c := MustNew("c", size, 64, 2)
+			if v, d := c.ValidLines(), c.DirtyLines(); v != 0 || d != 0 {
+				t.Fatalf("round %d: new %d-byte cache starts with %d valid, %d dirty lines", round, size, v, d)
+			}
+			if r := c.Access(64, false); r.Hit || r.Writeback {
+				t.Fatalf("round %d: first access on a new cache = %+v, want a clean miss", round, r)
+			}
+		}
+	}
+}
+
 // TestResizeReuseMatchesFreshArrays holds a cache whose resizes reuse
 // the previous array to one that migrates into a fresh array every
 // time: any state left behind in a reused array would show as a

@@ -469,8 +469,10 @@ func newRunState(spec workload.Spec, scheme Scheme, opt Options) (*runState, err
 	return st, nil
 }
 
-// finish settles the telemetry sampler and reduces the machine and DO
-// database into the run's Result.
+// finish settles the telemetry sampler, reduces the machine and DO
+// database into the run's Result, and releases the machine's cache
+// arrays for the next run's machine: nothing reads the run's state
+// after its Result exists.
 func (st *runState) finish() *Result {
 	if st.sampler != nil {
 		st.sampler.Final()
@@ -496,6 +498,7 @@ func (st *runState) finish() *Result {
 		rep := st.bbvMgr.Report()
 		res.BBV = &rep
 	}
+	st.mach.Release()
 	return res
 }
 

@@ -665,6 +665,15 @@ func (m *Machine) ChargeDataTLBMisses(n uint64) { m.Timing.TLBMissN(n) }
 // (the summarized equivalent of n ReplayBranch(false) calls).
 func (m *Machine) ChargeMispredicts(n uint64) { m.Timing.MispredictN(n) }
 
+// Release hands the machine's cache arrays to machines built later
+// (cache.Cache.Release). Call it once the run's results have been
+// read; the machine must not be used afterwards.
+func (m *Machine) Release() {
+	m.L1I.Release()
+	m.L1D.Release()
+	m.L2.Release()
+}
+
 // Snapshot is a point-in-time reading of the measures the tuning code
 // samples at hotspot boundaries: retired instructions, cycles, and the
 // energy of the two configurable caches.

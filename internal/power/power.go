@@ -19,6 +19,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -212,18 +213,102 @@ func (m *Meter) Access() { m.dynNJ += m.curAccessNJ }
 // AccessN charges n accesses at the current size.
 func (m *Meter) AccessN(n uint64) { m.dynNJ += float64(n) * m.curAccessNJ }
 
-// AccessRepeat charges n accesses one at a time. Unlike AccessN's
-// single fused multiply-add, the result is bit-exact with n sequential
-// Access calls — the batched issue path uses it so a run charged in
-// one call accumulates exactly the same float total as the
-// per-instruction reference path, keeping batched and stepped engine
-// modes byte-identical in every energy readout.
-func (m *Meter) AccessRepeat(n uint64) {
-	d, c := m.dynNJ, m.curAccessNJ
-	for ; n > 0; n-- {
-		d += c
+// AccessRepeat charges n accesses with the float total n sequential
+// Access calls would reach, bit for bit. Unlike AccessN's single
+// fused multiply-add, the result depends only on the number of
+// accesses, not on how they are grouped into calls — the batched issue
+// and replay paths use it so a run charged in one call accumulates
+// exactly the per-instruction reference path's total, keeping batched,
+// stepped and replayed modes byte-identical in every energy readout.
+// It costs O(1) per binade the total crosses, not O(n) (see repeatAdd).
+func (m *Meter) AccessRepeat(n uint64) { m.dynNJ = repeatAdd(m.dynNJ, m.curAccessNJ, n) }
+
+// Float64 layout, for repeatAdd's integer stepping.
+const (
+	fracBits = 52
+	fracMask = 1<<fracBits - 1
+	expMask  = 0x7ff
+	hidden   = 1 << fracBits // the implicit leading significand bit
+)
+
+// repeatAdd returns the result of n sequential additions d += c, bit
+// for bit, without performing them one at a time.
+//
+// While the running total stays inside one binade [2^e, 2^(e+1)) it is
+// an integer multiple m of that binade's ulp u, and the exact sum
+// m·u + c rounds to (m + round(c/u))·u: rounding to nearest picks the
+// same step s = round(c/u) on every add, unless c/u is exactly a
+// half-integer, where ties-to-even makes the step depend on m's parity.
+// A stretch of adds that keeps every exact sum below 2^(e+1) is
+// therefore one integer step m += k·s, computed on the significands
+// alone. The rest takes single adds: the add that crosses into the
+// next binade, a tie, short counts (n < 16), totals still below c
+// (which covers a zero start), and subnormal, infinite or NaN operands.
+func repeatAdd(d, c float64, n uint64) float64 {
+	cb := math.Float64bits(c)
+	ec := cb >> fracBits & expMask
+	if n < 16 || cb>>63 != 0 || ec == 0 || ec == expMask {
+		// Short, negative or zero, subnormal, infinite or NaN c.
+		for ; n > 0; n-- {
+			d += c
+		}
+		return d
 	}
-	m.dynNJ = d
+	mc := cb&fracMask | hidden
+	for n > 0 {
+		if !(d >= c) {
+			// Below c (zero and negative starts), or NaN.
+			d += c
+			n--
+			continue
+		}
+		db := math.Float64bits(d)
+		e := db >> fracBits & expMask
+		if e == expMask {
+			// +Inf absorbs every add.
+			for ; n > 0; n-- {
+				d += c
+			}
+			return d
+		}
+		// d ≥ c > 0 and c is normal, so d is normal too and e ≥ ec.
+		var s uint64
+		if shift := e - ec; shift == 0 {
+			s = mc
+		} else if shift < fracBits+2 {
+			s = mc >> shift
+			rem, half := mc&(1<<shift-1), uint64(1)<<(shift-1)
+			if rem == half {
+				// A tie: the rounding direction alternates with m's
+				// parity, so take this add on its own.
+				d += c
+				n--
+				continue
+			}
+			if rem > half {
+				s++
+			}
+		} else {
+			// c/u < 2^53/2^54 = 1/2: every add rounds back to d.
+			return d
+		}
+		if s == 0 {
+			return d
+		}
+		m := db&fracMask | hidden
+		// Steps that keep m + k·s ≤ 2^53−1: each exact sum stays below
+		// m + s + 1/2 < 2^53, inside the binade.
+		k := min(n, (2*hidden-1-m)/s)
+		if k == 0 {
+			d += c // crosses into the next binade
+			n--
+			continue
+		}
+		m += k * s
+		n -= k
+		d = math.Float64frombits(e<<fracBits | m&fracMask)
+	}
+	return d
 }
 
 // FlushWritebacks charges the reconfiguration flush of n dirty lines.

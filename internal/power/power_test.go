@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -185,5 +186,128 @@ func TestSmallerSizeNeverCostsMoreProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// seqAdd is repeatAdd's reference: n sequential float additions.
+func seqAdd(d, c float64, n uint64) float64 {
+	for ; n > 0; n-- {
+		d += c
+	}
+	return d
+}
+
+// checkRepeatAdd fails unless repeatAdd(d, c, n) has the bits of n
+// sequential adds.
+func checkRepeatAdd(t *testing.T, d, c float64, n uint64) {
+	t.Helper()
+	want, got := seqAdd(d, c, n), repeatAdd(d, c, n)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("repeatAdd(%v, %v, %d) = %v (%#x), sequential adds give %v (%#x)",
+			d, c, n, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestRepeatAddMatchesSequential: AccessRepeat's O(1) charge must be
+// bit-identical to adding the constant n times, over random totals,
+// constants and counts (zero starts and counts in the millions
+// included), rounding ties, constants below half an ulp, binade
+// crossings, and subnormal, infinite and NaN operands.
+func TestRepeatAddMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var consts []float64
+	for _, m := range []Model{L1Model("L1D"), L2Model(), IQModel()} {
+		for _, v := range m.AccessNJ {
+			consts = append(consts, v)
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		var d, c float64
+		switch i % 3 {
+		case 0:
+			c = consts[rng.Intn(len(consts))]
+		case 1:
+			c = math.Ldexp(1+rng.Float64(), rng.Intn(60)-30)
+		default:
+			c = rng.Float64() * 10
+		}
+		if i%4 != 0 {
+			d = math.Ldexp(rng.Float64(), rng.Intn(80)-20)
+		}
+		n := uint64(math.Exp(rng.Float64() * math.Log(1e5)))
+		checkRepeatAdd(t, d, c, n)
+	}
+	for _, n := range []uint64{1 << 20, 3_000_001, 8_000_000} {
+		checkRepeatAdd(t, 0, 0.07, n)
+		checkRepeatAdd(t, 12345.678, 1.45, n)
+	}
+
+	ulp1 := math.Ldexp(1, -52) // ulp of [1, 2)
+	big := math.Ldexp(1, 60)   // ulp 256
+	for _, tc := range []struct {
+		name string
+		d, c float64
+	}{
+		// Ties: c/ulp a half-integer, so ties-to-even picks the step.
+		{"tie 1.5ulp", 1, 1.5 * ulp1},
+		{"tie 2.5ulp", 1, 2.5 * ulp1},
+		{"tie 2.5ulp odd start", 1 + ulp1, 2.5 * ulp1},
+		{"tie half ulp", 1, ulp1 / 2},
+		{"tie half ulp odd start", 1 + ulp1, ulp1 / 2},
+		{"tie large binade", big, 640},
+		// Below half an ulp every add rounds back.
+		{"below half ulp", big, 127.9},
+		{"just above half ulp", big, 128.5},
+		{"far below ulp", 1e300, 1},
+		// Binade crossings.
+		{"crossings", 0.9, 0.3},
+		{"crossing at the top", 2 - ulp1, ulp1},
+		{"step equals ulp", 1, ulp1},
+		// Starts at or below c.
+		{"zero start", 0, 0.21},
+		{"negative start", -50, 0.7},
+		{"start below c", 0.1, 0.3},
+		// Non-normal operands.
+		{"subnormal c", 1e-300, 5e-324},
+		{"subnormal c zero start", 0, 3e-320},
+		{"subnormal d", 5e-324, 1e-300},
+		{"negative c", 10, -0.3},
+		{"zero c", 10, 0},
+		{"overflow to Inf", math.MaxFloat64 / 2, 1e300},
+		{"Inf d", math.Inf(1), 0.5},
+		{"-Inf d", math.Inf(-1), 0.5},
+		{"NaN d", math.NaN(), 0.5},
+		{"Inf c", 1, math.Inf(1)},
+		{"-Inf c", 1, math.Inf(-1)},
+		{"NaN c", 1, math.NaN()},
+	} {
+		for _, n := range []uint64{0, 1, 15, 16, 17, 100, 12_345, 1 << 20} {
+			t.Run(tc.name, func(t *testing.T) { checkRepeatAdd(t, tc.d, tc.c, n) })
+		}
+	}
+}
+
+// TestAccessRepeatMatchesAccess: the meter-level charge equals n
+// single Access calls, across a size change.
+func TestAccessRepeatMatchesAccess(t *testing.T) {
+	a := MustNewMeter(IQModel(), 64)
+	b := MustNewMeter(IQModel(), 64)
+	for _, step := range []struct {
+		size int
+		n    uint64
+	}{{64, 1000}, {16, 77_777}, {48, 5}, {8, 1 << 18}} {
+		if err := a.SetSize(step.size, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SetSize(step.size, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < step.n; i++ {
+			a.Access()
+		}
+		b.AccessRepeat(step.n)
+	}
+	if x, y := a.Totals().DynamicNJ, b.Totals().DynamicNJ; math.Float64bits(x) != math.Float64bits(y) {
+		t.Errorf("AccessRepeat total %v, sequential Access total %v", y, x)
 	}
 }

@@ -18,22 +18,25 @@ import (
 const summaryMaxMemBytes = 576 << 20
 
 // summaryMemBytes is the summary's resident size: the bytes allocated
-// for it, not the bytes in use — every op-stream segment in full, and
-// the capacity of the shape, ext, data and footprint tables.
+// for it, not the bytes in use — every stream segment in full, and the
+// capacity of the run, shape, ext, data and footprint tables.
 func summaryMemBytes(s *summary) int {
 	const (
-		segBytes   = int(unsafe.Sizeof(opSeg{}))
-		shapeBytes = int(unsafe.Sizeof(opShape{}))
-		extBytes   = int(unsafe.Sizeof(sumExt{}))
-		footBytes  = int(unsafe.Sizeof(cache.FootLine{}))
+		shapeSegBytes = int(unsafe.Sizeof(shapeSeg{}))
+		opndSegBytes  = int(unsafe.Sizeof(operandSeg{}))
+		runBytes      = int(unsafe.Sizeof(sumRun{}))
+		shapeBytes    = int(unsafe.Sizeof(opShape{}))
+		extBytes      = int(unsafe.Sizeof(sumExt{}))
+		footBytes     = int(unsafe.Sizeof(cache.FootLine{}))
 	)
-	return len(s.segs)*segBytes + cap(s.shapes)*shapeBytes +
+	return len(s.shapeSegs)*shapeSegBytes + len(s.opndSegs)*opndSegBytes +
+		cap(s.runs)*runBytes + cap(s.shapes)*shapeBytes +
 		cap(s.ext)*extBytes + cap(s.data)*8 + cap(s.foot)*footBytes
 }
 
-// MemBytes reports the trace's resident memory: its summary's op
-// stream, shape table and side tables — the number cache budgets and
-// telemetry charge.
+// MemBytes reports the trace's resident memory: its summary's shape
+// and operand streams, runs, shape table and side tables — the number
+// cache budgets and telemetry charge.
 func (t *Trace) MemBytes() int { return summaryMemBytes(t.sum) }
 
 // Prime is a no-op kept for callers that prepare cached traces: a
@@ -54,8 +57,8 @@ type SummaryRecorder struct {
 }
 
 // NewSummaryRecorder returns an empty recorder ready to install on an
-// engine running prog. instrHint is unused: the op stream grows a
-// fixed-size segment at a time and never copies, so no recording needs
+// engine running prog. instrHint is unused: the streams grow a
+// fixed-size segment at a time and never copy, so no recording needs
 // its length guessed up front.
 func NewSummaryRecorder(prog *program.Program, instrHint uint64) *SummaryRecorder {
 	r := &SummaryRecorder{}
@@ -193,15 +196,19 @@ func (r *SummaryRecorder) RecordHalt() {
 // whether the program ran to completion (vm.Engine.Halted); a
 // non-halted recording is marked truncated. Finish fails — with an
 // error wrapping ErrMalformed — when the stream hit a case the op
-// stream cannot represent, and also when the summary outgrew
-// summaryMaxMemBytes; either way the run must not be replayed.
+// stream cannot represent (including more than maxShapes distinct op
+// shapes), and also when the summary outgrew summaryMaxMemBytes;
+// either way the run must not be replayed.
 func (r *SummaryRecorder) Finish(halted bool) (*Trace, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("rtrace: recording unusable: %w", r.err)
 	}
 	r.b.end(halted)
-	s := r.b.s
+	s, err := r.b.s, r.b.err
 	r.b = sumBuilder{}
+	if err != nil {
+		return nil, fmt.Errorf("rtrace: recording unusable: %w", err)
+	}
 	if mem := summaryMemBytes(s); mem > summaryMaxMemBytes {
 		return nil, fmt.Errorf("rtrace: recording unusable: summary needs %d bytes (limit %d)", mem, summaryMaxMemBytes)
 	}

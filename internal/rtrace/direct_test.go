@@ -83,23 +83,34 @@ func measuredRecording(t *testing.T, bench string) (tr *Trace, allocated, live i
 	return tr, int64(after.TotalAlloc - before.TotalAlloc), int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }
 
-// requireSegments fails unless s spans at least three op segments with
-// a segment boundary inside a straight-line run of foldable ops, so a
-// differential test using it crosses segment boundaries both inside
-// fused runs and in listener replays.
+// requireSegments fails unless s spans at least three shape segments
+// and some run's data operands straddle an operand-segment boundary, so
+// a differential test using it crosses segment boundaries both inside
+// the run walk's data loop and in listener replays.
 func requireSegments(t *testing.T, label string, s *summary) {
 	t.Helper()
-	if len(s.segs) < 3 {
-		t.Fatalf("%s: %d ops in %d segments, want at least 3 segments", label, s.n, len(s.segs))
+	if len(s.shapeSegs) < 3 {
+		t.Fatalf("%s: %d ops in %d shape segments, want at least 3 segments", label, s.n, len(s.shapeSegs))
 	}
-	for k := 1; k < len(s.segs); k++ {
-		last := s.shapes[s.segs[k-1][segOps-1]>>32]
-		first := s.shapes[s.segs[k][0]>>32]
-		if last.w&opBoundaryMask == 0 && first.w&opBoundaryMask == 0 {
-			return
+	if !runStraddlesSegment(s) {
+		t.Fatalf("%s: no run's data operands cross an operand-segment boundary", label)
+	}
+}
+
+// runStraddlesSegment reports whether some run's data operands span
+// two operand segments.
+func runStraddlesSegment(s *summary) bool {
+	pos := 0 // the run's first operand
+	for _, r := range s.runs {
+		if r.nData > 1 && pos>>segShift != (pos+int(r.nData)-1)>>segShift {
+			return true
+		}
+		pos += int(r.nData)
+		if s.shapes[r.shape].w&opOperandMask != 0 {
+			pos++
 		}
 	}
-	t.Fatalf("%s: no segment boundary falls inside a fused run", label)
+	return false
 }
 
 // blockLog folds every block-listener call into an order-sensitive
@@ -121,7 +132,7 @@ func (l *blockLog) listen(pc uint64, instrs int) {
 // counters, L1D/L2 stats and LRU clocks, every set's content, and the
 // timing breakdown — both on the fused path and with a block listener,
 // which must also fire exactly as the recording run's did.
-// Every complete recording must also cost at most 9 bytes per op.
+// Every complete recording must also cost at most 6.5 bytes per op.
 func TestReplayMatchesRecording(t *testing.T) {
 	for _, spec := range workload.Suite() {
 		for _, budget := range []uint64{0, 2_000_000} {
@@ -138,11 +149,12 @@ func TestReplayMatchesRecording(t *testing.T) {
 			}
 			s := tr.summaryFor(prog)
 			requireSegments(t, label, s)
-			// Format size: an op costs 8 bytes, and the shape and
-			// side tables plus the last segment's slack must stay
-			// within one more byte per op of a full recording.
-			if mem := tr.MemBytes(); budget == 0 && mem > 9*s.n {
-				t.Errorf("%s: MemBytes %d for %d ops (%.2f bytes/op), want <= 9", label, mem, s.n, float64(mem)/float64(s.n))
+			// Format size: an op costs 2 bytes of shape stream plus
+			// 4 of operand when it has a data access or ext record
+			// (74-92% of a suite trace's ops); runs, the shape and side
+			// tables and the segments' slack must fit the rest.
+			if mem := tr.MemBytes(); budget == 0 && 2*mem > 13*s.n {
+				t.Errorf("%s: MemBytes %d for %d ops (%.2f bytes/op), want <= 6.5", label, mem, s.n, float64(mem)/float64(s.n))
 			}
 			want := machineState(mach)
 
@@ -168,23 +180,41 @@ func TestReplayMatchesRecording(t *testing.T) {
 }
 
 // checkSameSummary fails unless two summaries are op-identical: the
-// same op stream, shape and side tables, and program fingerprint.
+// same shape and operand streams, runs, shape and side tables, and
+// program fingerprint.
 func checkSameSummary(t *testing.T, label string, want, got *summary) {
 	t.Helper()
 	if want == nil || got == nil {
 		t.Fatalf("%s: missing summary (want %v, got %v)", label, want != nil, got != nil)
 	}
-	if got.n != want.n || len(got.segs) != len(want.segs) {
-		t.Fatalf("%s: %d ops in %d segments, want %d in %d", label, got.n, len(got.segs), want.n, len(want.segs))
+	if got.n != want.n || len(got.shapeSegs) != len(want.shapeSegs) {
+		t.Fatalf("%s: %d ops in %d segments, want %d in %d", label, got.n, len(got.shapeSegs), want.n, len(want.shapeSegs))
 	}
-	for si := range want.segs {
+	for si := range want.shapeSegs {
 		n := min(segOps, want.n-si<<segShift)
-		w, g := want.segs[si], got.segs[si]
-		for j := 0; j < n; j++ {
-			if w[j] != g[j] {
-				t.Fatalf("%s: op %d differs: got %#x, want %#x", label, si<<segShift+j, g[j], w[j])
+		if *want.shapeSegs[si] != *got.shapeSegs[si] {
+			for j := 0; j < n; j++ {
+				if w, g := want.shapeSegs[si][j], got.shapeSegs[si][j]; w != g {
+					t.Fatalf("%s: op %d's shape differs: got %d, want %d", label, si<<segShift+j, g, w)
+				}
 			}
 		}
+	}
+	if got.nOpnd != want.nOpnd || len(got.opndSegs) != len(want.opndSegs) {
+		t.Fatalf("%s: %d operands in %d segments, want %d in %d", label, got.nOpnd, len(got.opndSegs), want.nOpnd, len(want.opndSegs))
+	}
+	for si := range want.opndSegs {
+		n := min(segOps, want.nOpnd-si<<segShift)
+		if *want.opndSegs[si] != *got.opndSegs[si] {
+			for j := 0; j < n; j++ {
+				if w, g := want.opndSegs[si][j], got.opndSegs[si][j]; w != g {
+					t.Fatalf("%s: operand %d differs: got %#x, want %#x", label, si<<segShift+j, g, w)
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(got.runs, want.runs) {
+		t.Errorf("%s: runs differ (%d vs %d runs)", label, len(got.runs), len(want.runs))
 	}
 	if !reflect.DeepEqual(got.shapes, want.shapes) {
 		t.Errorf("%s: shape table differs (%d vs %d shapes)", label, len(got.shapes), len(want.shapes))
@@ -332,12 +362,12 @@ func TestDirectTraceMemBytes(t *testing.T) {
 
 // TestMemBytesChargesAllocation: MemBytes is what the trace cache
 // charges against its budget, so it must be the memory a trace keeps
-// resident — whole op segments and side-table capacity, not the bytes
+// resident — whole stream segments and table capacity, not the bytes
 // in use. The live heap a recording leaves behind must match it to
-// within one segment.
+// within one operand segment.
 func TestMemBytesChargesAllocation(t *testing.T) {
 	tr, _, live := measuredRecording(t, "compress")
-	const segBytes = int64(unsafe.Sizeof(opSeg{}))
+	const segBytes = int64(unsafe.Sizeof(operandSeg{}))
 	mem := int64(tr.MemBytes())
 	if d := live - mem; d > segBytes || d < -segBytes {
 		t.Errorf("MemBytes = %d, live heap after recording = %d: off by %d, want within one segment (%d)", mem, live, d, segBytes)

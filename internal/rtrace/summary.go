@@ -10,24 +10,40 @@
 // cache.TryApplyFootprint) — and everything else falls back to the
 // exact per-access path.
 //
-// The op stream is deliberately tiny — 8 bytes per op — because the
-// replay loop is memory-bound: the suite's traces record millions
-// of ops, so every extra op byte is a byte of DRAM traffic on every
-// replay. Each op is one word: the high half indexes a per-trace table
-// of interned op shapes (the op's kind and body counts, plus its
-// block's pc), the low half is the operand — the body's single data
-// access, or an ext-table index. The stream repeats a few hundred
-// shapes millions of times, so the shape table stays in L1 while the
-// walk streams the operands. The stream is stored as a list of
-// fixed-size segments (opSeg), so the recorder appends a fresh
-// segment when the current one fills and never copies: a trace
-// carries at most one partly filled segment of slack, and no recording
-// needs its length known up front. The common case (an intra-method
-// block entry with a short retire batch and at most one data access
-// whose address fits the operand) packs into its shape; everything
-// rare — method entries, masked fetch walks, multi-access bodies, wide
-// addresses or counts — overflows into a fat side table consulted only
-// when an op's shape has the ext bit set.
+// Replay cost is meant to scale with the trace's data accesses, the
+// live cache simulation that is the real work, and not with its op or
+// instruction count: the suite's traces record millions of ops, the
+// replay loop is memory-bound, and a candidate search replays one trace
+// dozens of times. So the recording is stored as three streams, each
+// read only by the walk that needs it:
+//
+//   - The shape stream: two bytes per op, an index into a per-trace
+//     table of interned op shapes (the op's kind and body counts, plus
+//     its block's pc). A stream repeats a few hundred shapes millions
+//     of times, so the table stays in L1; it is capped at 65 536
+//     shapes, and a recording that needs more fails Finish and runs
+//     directly. Only listener replays (the BBV scheme's block
+//     listener) walk it.
+//   - The operand stream: four bytes per op whose shape has the data or
+//     ext bit — the body's single data access (wordAddr<<1|write) or
+//     an ext-table index.
+//   - Runs: the recorder folds each straight-line stretch of foldable
+//     ops (opSeq/opBlock, packed) into one record as it goes — I-lines,
+//     retire batch, mispredicts, D-TLB misses and data count — closed
+//     by the next boundary op, whose shape index the run keeps. A
+//     listener-free replay walks runs: the run's data operands in
+//     order, four bulk charges, then the boundary op.
+//
+// Both streams are lists of fixed-size segments (shapeSeg,
+// operandSeg), so the recorder appends a fresh segment when the
+// current one fills and never copies: a trace carries at most one
+// partly filled segment of slack per stream, and no recording needs its
+// length known up front. The common case (an intra-method block entry
+// with a short retire batch and at most one data access whose address
+// fits the operand) packs into its shape; everything rare — method
+// entries, masked fetch walks, multi-access bodies, wide addresses or
+// counts — overflows into a fat side table consulted only when an op's
+// shape has the ext bit set.
 package rtrace
 
 import (
@@ -82,7 +98,7 @@ const (
 	maxPackedPC = 1<<24 - 1
 
 	// maxOperand bounds a packed op's data access (wordAddr<<1 |
-	// write): it shares the op word with the shape index.
+	// write): it must fit one operand-stream entry.
 	maxOperand = 1<<32 - 1
 )
 
@@ -94,18 +110,46 @@ type opShape struct {
 	pc uint32
 }
 
-// Op-stream segmentation: segOps 8-byte ops (512 KiB) per segment. Op
-// i lives at offset i&segMask of segment i>>segShift; its high 32 bits
-// index summary.shapes, its low 32 bits are the operand.
+// opOperandMask selects the shapes whose op carries an operand: a
+// packed data access or an ext-table index.
+const opOperandMask = opExtBit | opDataBit
+
+// maxShapes caps a trace's shape table at what a shape-stream entry
+// can index.
+const maxShapes = 1 << 16
+
+// Stream segmentation: segOps entries per segment. Op i's shape index
+// lives at offset i&segMask of shape segment i>>segShift (128 KiB per
+// segment); the operand stream is cut the same way over its own count
+// (256 KiB per segment).
 const (
 	segShift = 16
 	segOps   = 1 << segShift
 	segMask  = segOps - 1
 )
 
-// opSeg is one fixed-size segment of the op stream. Every segment of a
-// summary but the last is full.
-type opSeg [segOps]uint64
+// shapeSeg is one fixed-size segment of the shape stream: each op's
+// index into summary.shapes. Every segment of a summary but the last
+// is full; the same holds for operandSeg.
+type shapeSeg [segOps]uint16
+
+// operandSeg is one fixed-size segment of the operand stream: one entry
+// per op whose shape has opOperandMask set, in op order.
+type operandSeg [segOps]uint32
+
+// sumRun is one run: the folded charges of a straight-line stretch of
+// foldable ops, and the shape of the boundary op that closes it. Its
+// data operands are the next nData entries of the operand stream,
+// followed by the boundary op's own operand when its shape has one.
+// The counts are full-width so no run length can overflow them.
+type sumRun struct {
+	batch uint64 // retired instructions
+	lines uint64 // I-lines fetched (unmasked walks: no misses)
+	nData uint64 // single data accesses, each one operand
+	dtlb  uint64 // recorded D-TLB misses among them
+	br    uint64 // recorded branch mispredictions
+	shape uint16 // the boundary op's shape index
+}
 
 // sumExt is the unpacked form of a rare op: method entries (which need
 // the method ID), masked fetch walks (which need the line range and
@@ -130,19 +174,22 @@ type sumExt struct {
 	fastOK    bool   // footprint small enough for the bulk-apply path
 }
 
-// summary is a recording resolved against its program: the op stream,
-// the shape table every op indexes, the side table rare ops index
-// into, and the flat data-access and footprint tables for ext bodies.
-// Immutable once Finish seals it, and shared by every concurrent
-// replay of the trace.
+// summary is a recording resolved against its program: the shape and
+// operand streams, the runs, the shape table every op indexes, the
+// side table rare ops index into, and the flat data-access and
+// footprint tables for ext bodies. Immutable once Finish seals it, and
+// shared by every concurrent replay of the trace.
 type summary struct {
-	segs    []*opSeg
-	n       int // ops in the stream, across segs
-	shapes  []opShape
-	ext     []sumExt
-	data    []uint64 // wordAddr<<1 | write bit, in access order
-	foot    []cache.FootLine
-	progSig uint64
+	shapeSegs []*shapeSeg
+	opndSegs  []*operandSeg
+	n         int // ops in the shape stream
+	nOpnd     int // entries in the operand stream
+	runs      []sumRun
+	shapes    []opShape
+	ext       []sumExt
+	data      []uint64 // wordAddr<<1 | write bit, in access order
+	foot      []cache.FootLine
+	progSig   uint64
 }
 
 // iLine is the L1I/L1D line size the recorder computes footprints
@@ -252,19 +299,23 @@ type shapeMemoSlot struct {
 
 // sumBuilder is the boundary/body state machine the recorder drives:
 // a boundary event commits the open op via next(), body events
-// accumulate into open/body, and emit() decides packed-vs-ext.
+// accumulate into open/body, emit() decides packed-vs-ext, and push()
+// appends the op to the streams and folds it into the open run.
 type sumBuilder struct {
-	s      *summary
-	prog   *program.Program
-	geo    [][]blkGeom // per method, per block: precomputed geometry
-	curGeo []blkGeom   // geo of the current frame's method; nil outside
-	stack  []*program.Method
-	cur    *program.Method
-	open   opBuild
-	body   []uint64 // current op's data accesses, wordAddr<<1|write
-	tail   *opSeg   // the stream's last segment, the one being filled
-	memo   [1 << shapeMemoBits]shapeMemoSlot
-	index  map[opShape]uint32 // every interned shape's table index
+	s         *summary
+	prog      *program.Program
+	geo       [][]blkGeom // per method, per block: precomputed geometry
+	curGeo    []blkGeom   // geo of the current frame's method; nil outside
+	stack     []*program.Method
+	cur       *program.Method
+	open      opBuild
+	body      []uint64    // current op's data accesses, wordAddr<<1|write
+	tailShape *shapeSeg   // the shape stream's last segment, being filled
+	tailOpnd  *operandSeg // the operand stream's last segment
+	run       sumRun      // the open run (shape unset until it closes)
+	memo      [1 << shapeMemoBits]shapeMemoSlot
+	index     map[opShape]uint32 // every interned shape's table index
+	err       error              // shape table overflow; fails Finish
 }
 
 func (b *sumBuilder) init(prog *program.Program) {
@@ -327,37 +378,73 @@ func (b *sumBuilder) footprintOf() (uint8, bool) {
 // addBatch accumulates a retire batch into the open op.
 func (b *sumBuilder) addBatch(n uint64) { b.open.batch += n }
 
+// errShapeOverflow rejects a recording with more distinct op shapes
+// than a shape-stream entry can index.
+var errShapeOverflow = fmt.Errorf("%w: more than %d distinct op shapes", ErrMalformed, maxShapes)
+
 // intern sets memo slot m to shape (w, pc) and its table index,
-// adding the shape to the table on first sight.
-func (b *sumBuilder) intern(m *shapeMemoSlot, w uint64, pc uint32) {
+// adding the shape to the table on first sight. A full table poisons
+// the recording (b.err) and reports false.
+func (b *sumBuilder) intern(m *shapeMemoSlot, w uint64, pc uint32) bool {
 	sh := opShape{w: w, pc: pc}
 	idx, ok := b.index[sh]
 	if !ok {
+		if len(b.s.shapes) == maxShapes {
+			b.err = errShapeOverflow
+			return false
+		}
 		idx = uint32(len(b.s.shapes))
 		b.s.shapes = append(b.s.shapes, sh)
 		b.index[sh] = idx
 	}
 	*m = shapeMemoSlot{w: w, pc: pc, idx: idx + 1}
+	return true
 }
 
-// push commits one op — its interned shape and its operand — to the
-// stream, starting a fresh segment when the last one is full (or none
-// exists yet). Committed ops never move. The direct-mapped memo
+// push commits one op: its interned shape index to the shape stream,
+// its operand (when the shape has one) to the operand stream — each
+// starting a fresh segment when its last one is full, so committed ops
+// never move — and its charges to the open run: a foldable op folds
+// into the run, a boundary op closes it. The direct-mapped memo
 // answers the shape lookup on the hot path; only a memo miss consults
 // the map.
 func (b *sumBuilder) push(w uint64, pc uint32, operand uint64) {
 	m := &b.memo[((w^uint64(pc)<<40)*0x9E3779B97F4A7C15)>>(64-shapeMemoBits)]
-	if m.w != w || m.pc != pc || m.idx == 0 {
-		b.intern(m, w, pc)
+	if (m.w != w || m.pc != pc || m.idx == 0) && !b.intern(m, w, pc) {
+		return
 	}
+	idx := uint16(m.idx - 1)
 	s := b.s
 	k := s.n & segMask
 	if k == 0 {
-		b.tail = new(opSeg)
-		s.segs = append(s.segs, b.tail)
+		b.tailShape = new(shapeSeg)
+		s.shapeSegs = append(s.shapeSegs, b.tailShape)
 	}
-	b.tail[k] = uint64(m.idx-1)<<32 | operand
+	b.tailShape[k] = idx
 	s.n++
+	if w&opOperandMask != 0 {
+		k := s.nOpnd & segMask
+		if k == 0 {
+			b.tailOpnd = new(operandSeg)
+			s.opndSegs = append(s.opndSegs, b.tailOpnd)
+		}
+		b.tailOpnd[k] = uint32(operand)
+		s.nOpnd++
+	}
+	r := &b.run
+	if w&opBoundaryMask != 0 {
+		r.shape = idx
+		s.runs = append(s.runs, *r)
+		*r = sumRun{}
+		return
+	}
+	r.lines += w >> opLinesShift & opLinesMax
+	r.batch += w >> opBatchShift
+	r.br += w >> opBrShift & opBrMax
+	if w&opDataBit != 0 {
+		r.nData++
+		r.dtlb += w >> opTLBShift & 1
+	}
 }
 
 // growData ensures the data table can absorb the current body,
@@ -637,112 +724,133 @@ func newSumWalker(t *Trace, s *summary, env Env) *sumWalker {
 	}
 }
 
-// opBoundaryMask selects shapes the fused walk cannot fold into a
-// straight-line run: every ext op, and every packed kind with bit 0
-// or bit 2 set (opEnter=1, opExit=3, opHalt=4, opEndHalted=5,
-// opEndBudget=6). The foldable kinds — opSeq=0 and opBlock=2 — are
-// exactly the ones with both bits clear.
+// opBoundaryMask selects shapes that close a run: every ext op, and
+// every packed kind with bit 0 or bit 2 set (opEnter=1, opExit=3,
+// opHalt=4, opEndHalted=5, opEndBudget=6). The foldable kinds — opSeq=0
+// and opBlock=2 — are exactly the ones with both bits clear.
 const opBoundaryMask = opExtBit | 0b101
 
-// walk replays the whole op stream, one segment at a time. The end
-// marker is always the stream's last op, so the walk simply runs off
-// the end.
-//
-// Listener-free replays take the fused path, which coalesces the
-// arithmetic charges of straight-line runs; replays with a block
-// listener must surface every block boundary individually. A fused run
-// that crosses a segment boundary flushes its bulk charges there,
-// which is bit-exact because every merged charge is a sum of
-// per-event constants (see walkFused).
-func (w *sumWalker) walk() error {
-	for si, g := range w.s.segs {
-		n := min(segOps, w.s.n-si<<segShift)
-		if w.listener == nil {
-			if err := w.walkFused(g, n); err != nil {
-				return err
-			}
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if err := w.applyOp(g[j]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// operandCursor reads the operand stream in order across its segments.
+type operandCursor struct {
+	segs  []*operandSeg
+	si, k int // next operand: segment si, offset k
 }
 
-// walkFused is walk for replays without a block listener, over the
-// first n ops of segment g. Within a straight-line run (consecutive
-// seq/block ops — no method boundary, no end marker) the frame stack
-// is constant and every non-cache charge is a sum of per-event
-// constants over independent accumulators, so the run's fetch lines,
-// retire batch, recorded mispredicts, and D-TLB misses can accumulate
-// in locals and flush as single bulk charges at the run boundary.
-// Bit-exactness of each merged charge: integer counters add
-// associatively, power meters charge via Meter.AccessRepeat (one add
-// per event regardless of call granularity), and the merged sampler
-// poll delivers the same samples to the same frame stack
-// (vm.AOS.sampleDueN covers the contiguous retire range identically
-// however it is subdivided). Data accesses still apply one at a time,
-// in order — only their surrounding arithmetic is batched. Boundary
-// ops flush first, then take the exact per-op path, so AOS hooks and
-// reconfigurations observe the same machine state as the unfused walk.
-func (w *sumWalker) walkFused(g *opSeg, n int) error {
+// take returns the next at most n operands, stopping at the end of the
+// current segment; callers loop until they have consumed what they
+// need.
+func (c *operandCursor) take(n uint64) []uint32 {
+	if c.k == segOps {
+		c.si++
+		c.k = 0
+	}
+	m := int(min(n, uint64(segOps-c.k)))
+	out := c.segs[c.si][c.k : c.k+m]
+	c.k += m
+	return out
+}
+
+// next returns the next operand.
+func (c *operandCursor) next() uint32 { return c.take(1)[0] }
+
+// walk replays the whole recording. The end marker always closes the
+// last run (and is the shape stream's last op), so both walks simply
+// run off the end.
+//
+// Listener-free replays walk runs (walkRuns); replays with a block
+// listener must surface every block boundary individually, so they
+// walk the shape stream op by op (walkOps).
+func (w *sumWalker) walk() error {
+	if w.listener == nil {
+		return w.walkRuns()
+	}
+	return w.walkOps()
+}
+
+// walkRuns is walk for replays without a block listener. Within a run
+// (consecutive seq/block ops — no method boundary, no end marker) the
+// frame stack is constant and every non-cache charge is a sum of
+// per-event constants over independent accumulators, so the recorder
+// has already folded the run's fetch lines, retire batch, recorded
+// mispredicts, and D-TLB misses into single bulk charges. Bit-exactness
+// of each merged charge: integer counters add associatively, power
+// meters charge via Meter.AccessRepeat (bit-exact with one add per
+// event regardless of call granularity), and the merged sampler poll
+// delivers the same samples to the same frame stack (vm.AOS.sampleDueN
+// covers the contiguous retire range identically however it is
+// subdivided). Data accesses still apply one at a time, in order —
+// only their surrounding arithmetic is batched. The boundary op then
+// takes the exact per-op path, so AOS hooks and reconfigurations
+// observe the same machine state as the op-by-op walk. The shape
+// stream is never read.
+func (w *sumWalker) walkRuns() error {
 	mach, aos, shapes := w.mach, w.aos, w.s.shapes
-	ops := g[:n]
-	for i := 0; i < len(ops); {
-		var lines, batch, br, dtlb uint64
-		j := i
-		for ; j < len(ops); j++ {
-			o := ops[j]
-			sw := shapes[o>>32].w
-			if sw&opBoundaryMask != 0 {
-				break
+	cur := operandCursor{segs: w.s.opndSegs}
+	for i := range w.s.runs {
+		r := &w.s.runs[i]
+		for n := r.nData; n > 0; {
+			ds := cur.take(n)
+			for _, d := range ds {
+				mach.ReplayData(uint64(d>>1), d&1 != 0, false)
 			}
-			lines += sw >> opLinesShift & opLinesMax
-			if sw&opDataBit != 0 {
-				dtlb += sw >> opTLBShift & 1
-				mach.ReplayData(uint64(uint32(o))>>1, o&1 != 0, false)
-			}
-			batch += sw >> opBatchShift
-			br += sw >> opBrShift & opBrMax
+			n -= uint64(len(ds))
 		}
-		if lines != 0 {
-			mach.ReplayFetchCharges(lines, 0)
+		if r.lines != 0 {
+			mach.ReplayFetchCharges(r.lines, 0)
 		}
-		if dtlb != 0 {
-			mach.ChargeDataTLBMisses(dtlb)
+		if r.dtlb != 0 {
+			mach.ChargeDataTLBMisses(r.dtlb)
 		}
-		if batch != 0 {
-			mach.IssueBatch(batch)
-			w.batchSum += batch
+		if r.batch != 0 {
+			mach.IssueBatch(r.batch)
+			w.batchSum += r.batch
 			if w.sampling {
-				aos.ReplayBatchPoll(mach.Instructions(), batch, w.ids)
+				aos.ReplayBatchPoll(mach.Instructions(), r.batch, w.ids)
 			}
 		}
-		if br != 0 {
-			mach.ChargeMispredicts(br)
+		if r.br != 0 {
+			mach.ChargeMispredicts(r.br)
 		}
-		if j >= len(ops) {
-			return nil
+		sh := &shapes[r.shape]
+		var o uint32
+		if sh.w&opOperandMask != 0 {
+			o = cur.next()
 		}
-		if err := w.applyOp(ops[j]); err != nil {
+		if err := w.applyOp(sh, o); err != nil {
 			return err
 		}
-		i = j + 1
 	}
 	return nil
 }
 
-// applyOp replays one op exactly: the boundary action in recorded
-// order, then the body, retire batch with sampler poll, and
-// misprediction charges.
-func (w *sumWalker) applyOp(o uint64) error {
+// walkOps is walk for replays with a block listener: every op of the
+// shape stream in order, each applied exactly, with an operand cursor
+// alongside.
+func (w *sumWalker) walkOps() error {
+	shapes := w.s.shapes
+	cur := operandCursor{segs: w.s.opndSegs}
+	for si, g := range w.s.shapeSegs {
+		for _, idx := range g[:min(segOps, w.s.n-si<<segShift)] {
+			sh := &shapes[idx]
+			var o uint32
+			if sh.w&opOperandMask != 0 {
+				o = cur.next()
+			}
+			if err := w.applyOp(sh, o); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// applyOp replays one op exactly — shape sh with operand o (0 when the
+// shape has none): the boundary action in recorded order, then the
+// body, retire batch with sampler poll, and misprediction charges.
+func (w *sumWalker) applyOp(sh *opShape, o uint32) error {
 	mach, aos := w.mach, w.aos
-	sh := &w.s.shapes[o>>32]
 	if sh.w&opExtBit != 0 {
-		return w.applyExt(sh.w&(1<<opKindBits-1), &w.s.ext[uint32(o)])
+		return w.applyExt(sh.w&(1<<opKindBits-1), &w.s.ext[o])
 	}
 	switch sh.w & (1<<opKindBits - 1) {
 	case opBlock:
@@ -765,7 +873,7 @@ func (w *sumWalker) applyOp(o uint64) error {
 	}
 
 	if sh.w&opDataBit != 0 {
-		mach.ReplayData(uint64(uint32(o))>>1, o&1 != 0, sh.w>>opTLBShift&1 != 0)
+		mach.ReplayData(uint64(o>>1), o&1 != 0, sh.w>>opTLBShift&1 != 0)
 	}
 	if batch := sh.w >> opBatchShift; batch != 0 {
 		mach.IssueBatch(batch)

@@ -2,6 +2,7 @@ package rtrace
 
 import (
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -77,10 +78,10 @@ func TestSummaryCachedOnce(t *testing.T) {
 	}
 }
 
-// TestSummarizedReplayMatchesExact: the fused walk, which folds the
-// arithmetic charges of straight-line runs into bulk charges, must
-// leave the machine bit-identical to the exact walk, which applies
-// every op on its own. A block listener forces the exact walk, so a
+// TestSummarizedReplayMatchesExact: the run walk, which applies the
+// arithmetic charges the recorder folded per straight-line run as bulk
+// charges, must leave the machine bit-identical to the exact walk,
+// which applies every op on its own. A block listener forces the exact walk, so a
 // no-op one gives the reference.
 func TestSummarizedReplayMatchesExact(t *testing.T) {
 	for _, tc := range []struct {
@@ -146,6 +147,22 @@ var extPathInput = func() []byte {
 	return append(in, cExit, cExt|extEndHalted<<3)
 }()
 
+// forEachOp calls f with every op of s in order: its shape and its
+// operand (0 when the shape carries none).
+func forEachOp(s *summary, f func(sh opShape, o uint32)) {
+	cur := operandCursor{segs: s.opndSegs}
+	for si, g := range s.shapeSegs {
+		for _, idx := range g[:min(segOps, s.n-si<<segShift)] {
+			sh := s.shapes[idx]
+			var o uint32
+			if sh.w&opOperandMask != 0 {
+				o = cur.next()
+			}
+			f(sh, o)
+		}
+	}
+}
+
 // TestExtPathWideAndMultiAccess: a packed op holds at most one data
 // access, and only one whose wordAddr<<1|write fits the 32-bit
 // operand. Multi-access bodies and wide addresses must become ext
@@ -158,15 +175,13 @@ func TestExtPathWideAndMultiAccess(t *testing.T) {
 	}
 	s := tr.summaryFor(fuzzProg)
 	var blocks []opShape
-	var ops []uint64
-	for si, g := range s.segs {
-		for _, o := range g[:min(segOps, s.n-si<<segShift)] {
-			if sh := s.shapes[o>>32]; sh.w&(1<<opKindBits-1) == opBlock {
-				blocks = append(blocks, sh)
-				ops = append(ops, o)
-			}
+	var ops []uint32
+	forEachOp(s, func(sh opShape, o uint32) {
+		if sh.w&(1<<opKindBits-1) == opBlock {
+			blocks = append(blocks, sh)
+			ops = append(ops, o)
 		}
-	}
+	})
 	if len(blocks) != 5 {
 		t.Fatalf("%d block ops, want 5", len(blocks))
 	}
@@ -174,15 +189,15 @@ func TestExtPathWideAndMultiAccess(t *testing.T) {
 		if blocks[i].w&opExtBit == 0 {
 			t.Fatalf("block op %d packed (shape %#x), want ext", i, blocks[i].w)
 		}
-		if x := s.ext[uint32(ops[i])]; x.nData != want {
+		if x := s.ext[ops[i]]; x.nData != want {
 			t.Errorf("block op %d: ext record has %d accesses, want %d", i, x.nData, want)
 		}
 	}
-	if x := s.ext[uint32(ops[2])]; !x.fastOK || x.nFoot != 1 {
+	if x := s.ext[ops[2]]; !x.fastOK || x.nFoot != 1 {
 		t.Errorf("one-line body: fastOK %v nFoot %d, want a 1-line bulk-applicable footprint", x.fastOK, x.nFoot)
 	}
-	if last := blocks[4]; last.w&opExtBit != 0 || last.w&opDataBit == 0 || ops[4]&maxOperand != 14<<1 {
-		t.Errorf("low single access: shape %#x operand %#x, want packed with operand %#x", last.w, ops[4]&maxOperand, 14<<1)
+	if last := blocks[4]; last.w&opExtBit != 0 || last.w&opDataBit == 0 || ops[4] != 14<<1 {
+		t.Errorf("low single access: shape %#x operand %#x, want packed with operand %#x", last.w, ops[4], 14<<1)
 	}
 
 	fused := fuzzEnv(t)
@@ -201,5 +216,89 @@ func TestExtPathWideAndMultiAccess(t *testing.T) {
 	}
 	if got := fused.Mach.L1D.Stats().Accesses; got != 8 {
 		t.Errorf("L1D saw %d accesses, want 8", got)
+	}
+}
+
+// TestShapeTableOverflow: a shape-stream entry indexes at most
+// maxShapes shapes. A recording with more distinct op shapes — here
+// block ops with more than 65 536 distinct retire batches — must fail
+// Finish with ErrMalformed, so its run executes directly; one just
+// under the cap must seal and replay.
+func TestShapeTableOverflow(t *testing.T) {
+	record := func(batches int) (*Trace, error) {
+		r := NewSummaryRecorder(fuzzProg, 0)
+		r.RecordEnter(0, 0, 0, true)
+		for i := 1; i <= batches; i++ {
+			r.RecordBlock(1, 0, 0, true)
+			r.RecordBatch(uint64(i))
+		}
+		r.RecordExit()
+		r.RecordHalt()
+		return r.Finish(true)
+	}
+	if _, err := record(maxShapes + 1); !errors.Is(err, ErrMalformed) {
+		t.Errorf("%d distinct shapes: Finish err = %v, want ErrMalformed", maxShapes+1, err)
+	}
+	tr, err := record(maxShapes - 16)
+	if err != nil {
+		t.Fatalf("%d distinct batches: %v", maxShapes-16, err)
+	}
+	if n := len(tr.sum.shapes); n <= maxShapes-16 || n > maxShapes {
+		t.Errorf("shape table holds %d shapes, want (%d, %d]", n, maxShapes-16, maxShapes)
+	}
+	if err := tr.Replay(fuzzEnv(t)); err != nil {
+		t.Errorf("replay: %v", err)
+	}
+}
+
+// TestRunCrossesSegments: one straight-line run longer than an operand
+// segment — 70 000 block ops with a data access each, some missing the
+// D-TLB, some mispredicting — must replay identically on the run walk,
+// whose data loop crosses the segment boundary mid-run, and on the
+// listener walk, which crosses shape and operand segments op by op.
+func TestRunCrossesSegments(t *testing.T) {
+	const blocks = 70_000
+	r := NewSummaryRecorder(fuzzProg, 0)
+	r.RecordEnter(0, 0, 0, true)
+	for i := 0; i < blocks; i++ {
+		r.RecordBlock(1, 0, 0, true)
+		r.RecordData(uint64(i*37%100_000), i%3 == 0, i%50 == 0)
+		r.RecordBatch(3)
+		r.RecordBranch(i%7 != 0)
+	}
+	r.RecordExit()
+	r.RecordHalt()
+	tr, err := r.Finish(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tr.summaryFor(fuzzProg)
+	if len(s.opndSegs) < 2 || !runStraddlesSegment(s) {
+		t.Fatalf("%d operands in %d segments, no run crosses a segment boundary", s.nOpnd, len(s.opndSegs))
+	}
+	var folded uint64
+	for _, run := range s.runs {
+		folded = max(folded, run.nData)
+	}
+	if folded < blocks-1 {
+		t.Errorf("longest run folds %d data accesses, want >= %d", folded, blocks-1)
+	}
+
+	fused := fuzzEnv(t)
+	if err := tr.Replay(fused); err != nil {
+		t.Fatalf("run walk: %v", err)
+	}
+	var log blockLog
+	listened := fuzzEnv(t)
+	listened.BlockListener = log.listen
+	if err := tr.Replay(listened); err != nil {
+		t.Fatalf("listener walk: %v", err)
+	}
+	checkSameState(t, "listener-vs-runs", machineState(listened.Mach), machineState(fused.Mach))
+	if log.n != blocks {
+		t.Errorf("listener fired %d times, want %d", log.n, blocks)
+	}
+	if got := fused.Mach.L1D.Stats().Accesses; got != blocks {
+		t.Errorf("L1D saw %d accesses, want %d", got, blocks)
 	}
 }

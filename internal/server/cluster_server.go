@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"acedo/internal/server/cluster"
 	"acedo/internal/server/store"
@@ -157,12 +158,22 @@ func (s *Server) proxyJob(w http.ResponseWriter, r *http.Request, subpath string
 	return true
 }
 
+// copyBufs recycles copyFlush's 32 KiB buffers: every proxied request
+// streams through one, and a fresh buffer per request was steady
+// garbage on a forwarding node.
+var copyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
 // copyFlush relays a proxied body, flushing after every read so a
 // followed event stream reaches the client as it is produced rather
 // than when the job finishes.
 func copyFlush(w http.ResponseWriter, r io.Reader) {
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
+	buf := *bp
 	for {
 		n, err := r.Read(buf)
 		if n > 0 {
@@ -261,6 +272,9 @@ func (s *Server) adoptFromOwner(j *job) bool {
 	e := &cacheEntry{result: ent.Result, runs: runs}
 	s.cache.put(j.hash, e)
 	s.markDone(j.hash)
+	// Counted before published (see runJob).
+	s.metrics.jobAdopted()
+	s.metrics.peerStore(true)
 	j.mu.Lock()
 	j.state = StateDone
 	j.cached = true
@@ -268,8 +282,6 @@ func (s *Server) adoptFromOwner(j *job) bool {
 	j.runs = e.runs
 	j.mu.Unlock()
 	j.events.close()
-	s.metrics.jobAdopted()
-	s.metrics.peerStore(true)
 	s.logf("job %s: adopted result from %s (%s)", j.id, owner, shortHash(j.hash))
 	return true
 }

@@ -472,6 +472,9 @@ func (s *Server) execute(j *job) {
 		s.persist(j.hash, result, runs)
 	}
 	s.markDone(j.hash)
+	// Counted before published: a client that has observed the
+	// terminal state must find the job in /metrics.
+	s.metrics.jobFinished(state, wall, runs)
 	j.mu.Lock()
 	j.state = state
 	j.result = result
@@ -480,7 +483,6 @@ func (s *Server) execute(j *job) {
 	j.wall = wall
 	j.mu.Unlock()
 	j.events.close()
-	s.metrics.jobFinished(state, wall, runs)
 	s.logf("job %s: %s (%.2fs, %d runs)%s", j.id, state, wall.Seconds(), len(runs), errSuffix(errMsg))
 }
 
@@ -846,6 +848,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued:
+		// Counted before published, as in runJob (metrics.mu is a
+		// leaf lock, so taking it under j.mu is safe).
+		s.metrics.jobFinished(StateCanceled, 0, nil)
 		j.state = StateCanceled
 		if !j.cancelled {
 			j.cancelled = true
@@ -854,7 +859,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		j.mu.Unlock()
 		j.events.close()
 		s.markDone(j.hash)
-		s.metrics.jobFinished(StateCanceled, 0, nil)
 		s.logf("job %s: canceled while queued", j.id)
 	case StateRunning:
 		if !j.cancelled {

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -416,6 +418,104 @@ func TestCancelQueued(t *testing.T) {
 	if m.JobsCompleted != 1 || m.JobsCanceled != 1 {
 		t.Errorf("completed=%d canceled=%d, want 1/1 (canceled job must not execute)",
 			m.JobsCompleted, m.JobsCanceled)
+	}
+}
+
+// TestMetricsCountBeforeTerminalState: a job is counted in /metrics
+// before its terminal state is published, so a client that has just
+// observed done, failed or canceled (queued or running) finds it
+// counted. Each transition is triggered while the test holds the
+// metrics lock: the job must not turn terminal until the lock is
+// released, and /metrics read the moment it does must count it.
+func TestMetricsCountBeforeTerminalState(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 4})
+	fail := errors.New("stub failure")
+	var mu sync.Mutex
+	finish := map[uint64]chan error{}
+	s.runFn = func(spec JobSpec, sink *eventLog, cancel <-chan struct{}) ([]byte, []RunMeta, error) {
+		mu.Lock()
+		ch := finish[spec.MaxInstr]
+		mu.Unlock()
+		select {
+		case err := <-ch:
+			return []byte("{}\n"), []RunMeta{{Benchmark: "stub", Scheme: "baseline"}}, err
+		case <-cancel:
+			return nil, nil, &experiment.RunError{Benchmark: "stub", Err: experiment.ErrCanceled}
+		}
+	}
+	submit := func(n int) (*job, chan error) {
+		ch := make(chan error, 1)
+		mu.Lock()
+		finish[uint64(1000+n)] = ch
+		mu.Unlock()
+		_, _, body := postJob(t, ts.URL, uniqueSpec(n))
+		var st JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		j := s.jobs[st.ID]
+		s.mu.Unlock()
+		return j, ch
+	}
+	// settle triggers j's transition with the metrics lock held and
+	// fails if j turns terminal before the lock is released (j.mu held
+	// by the transition counts as unobservable); it then waits for the
+	// terminal state and returns /metrics as read right after it.
+	settle := func(j *job, want string, trigger func()) Metrics {
+		t.Helper()
+		s.metrics.mu.Lock()
+		trigger()
+		for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+			if j.mu.TryLock() {
+				st := j.state
+				j.mu.Unlock()
+				if terminal(st) {
+					s.metrics.mu.Unlock()
+					t.Fatalf("job %s published %q before it was counted", j.id, st)
+				}
+			}
+		}
+		s.metrics.mu.Unlock()
+		if st := waitState(t, ts.URL, j.id, ""); st.State != want {
+			t.Fatalf("job %s ended %q, want %q", j.id, st.State, want)
+		}
+		var m Metrics
+		getJSON(t, ts.URL, "/metrics", &m)
+		return m
+	}
+	del := func(j *job) func() {
+		return func() {
+			go func() {
+				req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+j.id, nil)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Errorf("DELETE: %v", err)
+					return
+				}
+				resp.Body.Close()
+			}()
+		}
+	}
+
+	j, ch := submit(60)
+	waitBusy(t, ts.URL)
+	if m := settle(j, StateDone, func() { ch <- nil }); m.JobsCompleted != 1 {
+		t.Errorf("saw done, jobs_completed=%d, want 1", m.JobsCompleted)
+	}
+	j, ch = submit(61)
+	waitBusy(t, ts.URL)
+	if m := settle(j, StateFailed, func() { ch <- fail }); m.JobsFailed != 1 {
+		t.Errorf("saw failed, jobs_failed=%d, want 1", m.JobsFailed)
+	}
+	running, _ := submit(62)
+	waitBusy(t, ts.URL)
+	queued, _ := submit(63)
+	if m := settle(queued, StateCanceled, del(queued)); m.JobsCanceled != 1 {
+		t.Errorf("saw queued job canceled, jobs_canceled=%d, want 1", m.JobsCanceled)
+	}
+	if m := settle(running, StateCanceled, del(running)); m.JobsCanceled != 2 {
+		t.Errorf("saw running job canceled, jobs_canceled=%d, want 2", m.JobsCanceled)
 	}
 }
 

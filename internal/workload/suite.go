@@ -1,5 +1,7 @@
 package workload
 
+import "sync"
+
 // The seven SPECjvm98 stand-ins. Each Spec is engineered to match the
 // published hotspot demography and phase character of its namesake at
 // the default 1/10 scale (DESIGN.md §4): leaf methods with 5–15 K
@@ -52,27 +54,37 @@ package workload
 //     slices" that keep ~35% of execution outside L2 hotspots; BBV
 //     coverage is near-total and BBV wins L2, as in the paper.
 
+// suiteSpecs are the seven benchmark constructors in the paper's order.
+var suiteSpecs = []func() Spec{Compress, DB, Jack, Javac, Jess, Mpeg, Mtrt}
+
+// suiteIndex maps each benchmark's name to its suiteSpecs position, so
+// ByName builds only the spec it returns: a job submission looks its
+// benchmarks up by name, and building all seven specs per lookup was a
+// steady stream of garbage in the service.
+var suiteIndex = sync.OnceValue(func() map[string]int {
+	idx := make(map[string]int, len(suiteSpecs))
+	for i, f := range suiteSpecs {
+		idx[f().Name] = i
+	}
+	return idx
+})
+
 // Suite returns the seven benchmark specs in the paper's order.
 func Suite() []Spec {
-	return []Spec{
-		Compress(),
-		DB(),
-		Jack(),
-		Javac(),
-		Jess(),
-		Mpeg(),
-		Mtrt(),
+	specs := make([]Spec, len(suiteSpecs))
+	for i, f := range suiteSpecs {
+		specs[i] = f()
 	}
+	return specs
 }
 
 // ByName returns the spec with the given name, or false.
 func ByName(name string) (Spec, bool) {
-	for _, s := range Suite() {
-		if s.Name == name {
-			return s, true
-		}
+	i, ok := suiteIndex()[name]
+	if !ok {
+		return Spec{}, false
 	}
-	return Spec{}, false
+	return suiteSpecs[i](), true
 }
 
 // Words per kilobyte of data (8-byte words).

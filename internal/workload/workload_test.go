@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"acedo/internal/machine"
@@ -30,6 +31,11 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Error("ByName(nope) should fail")
+	}
+	for _, want := range Suite() {
+		if got, ok := ByName(want.Name); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%s) = %+v, %v; want the Suite spec", want.Name, got.Name, ok)
+		}
 	}
 }
 
