@@ -141,9 +141,11 @@ cluster-smoke:
 
 # Everything the CI workflow runs, locally. bench/ is a separate
 # module the root `go test ./...` never reaches, so it is vetted and
-# tested on its own.
+# tested on its own. The race run's explicit timeout covers 2-core
+# hosts, where internal/rtrace and internal/experiment each run past
+# go test's 10-minute default.
 ci: build vet fmt-check doclint
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 40m ./...
 	cd bench && $(GO) vet ./... && $(GO) test -race ./...
 	$(GO) test -fuzz=FuzzEngineVsReference -fuzztime=10s -run=^$$ ./internal/vm
 	$(GO) test -fuzz=FuzzEngineUnderManagement -fuzztime=10s -run=^$$ ./internal/vm

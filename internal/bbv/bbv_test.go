@@ -293,3 +293,24 @@ func TestBBVDetectorClassifies(t *testing.T) {
 		t.Error("detector name wrong")
 	}
 }
+
+// TestBoundaryMatchAllocatesNothing: a boundary that matches a stored
+// phase normalizes into the detector's scratch vector, so only a new
+// phase (which keeps its signature) allocates.
+func TestBoundaryMatchAllocatesNothing(t *testing.T) {
+	d := NewBBVDetector(DefaultParams(10))
+	d.Accumulate(0, 100)
+	d.Boundary()
+	d.Accumulate(16<<2, 100)
+	d.Boundary()
+	allocs := testing.AllocsPerRun(100, func() {
+		d.Accumulate(0, 60)
+		d.Accumulate(32<<2, 40) // bucket 0 again: the PC bits wrap
+		if got := d.Boundary(); got != 0 {
+			t.Fatalf("phase %d, want 0", got)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("matching boundary allocated %.0f times, want 0", allocs)
+	}
+}

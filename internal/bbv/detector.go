@@ -1,6 +1,10 @@
 package bbv
 
-import "acedo/internal/fault"
+import (
+	"slices"
+
+	"acedo/internal/fault"
+)
 
 // BBVDetector is the Basic Block Vector phase detector (Sherwood et
 // al.), configured per the paper's Section 4.1: an accumulator table
@@ -15,6 +19,10 @@ type BBVDetector struct {
 
 	acc        []uint32
 	signatures [][]float64
+
+	// vec is the scratch vector each boundary normalizes into; only a
+	// new phase keeps a copy of it as its signature.
+	vec []float64
 
 	// faults, when non-nil, may flip accumulator bits at interval
 	// boundaries — corrupting the interval vector and any signature
@@ -31,6 +39,7 @@ func NewBBVDetector(params Params) *BBVDetector {
 		bucketMax: uint32(1)<<params.BucketBits - 1,
 		threshold: params.MatchThreshold,
 		acc:       make([]uint32, params.Buckets),
+		vec:       make([]float64, params.Buckets),
 	}
 }
 
@@ -75,7 +84,7 @@ func (d *BBVDetector) Boundary() int {
 	if best >= 0 {
 		return best
 	}
-	d.signatures = append(d.signatures, vec)
+	d.signatures = append(d.signatures, slices.Clone(vec))
 	return len(d.signatures) - 1
 }
 
@@ -87,14 +96,16 @@ func (d *BBVDetector) Signature(id int) []float64 {
 	return d.signatures[id]
 }
 
-// normalize converts the accumulator to a fraction vector.
+// normalize converts the accumulator to a fraction vector in the
+// detector's scratch vector, valid until the next boundary.
 func (d *BBVDetector) normalize() []float64 {
 	var sum uint64
 	for _, c := range d.acc {
 		sum += uint64(c)
 	}
-	vec := make([]float64, len(d.acc))
+	vec := d.vec
 	if sum == 0 {
+		clear(vec)
 		return vec
 	}
 	for i, c := range d.acc {

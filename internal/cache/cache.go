@@ -382,3 +382,43 @@ func (c *Cache) Flush() int {
 	c.stats.FlushWritebacks += uint64(wb)
 	return wb
 }
+
+// LineView is one valid line of a set in canonical form (ViewSet).
+type LineView struct {
+	// Tag is the full block address (the cache's internal tag).
+	Tag uint64
+	// LastUse is the line's LRU clock reading.
+	LastUse uint64
+	// Dirty marks a modified line.
+	Dirty bool
+}
+
+// ViewSet returns the set's valid lines ordered LRU-first (ascending
+// last-use). Way positions are deliberately absent: two caches whose
+// sets hold the same tags in the same recency order with the same
+// dirty bits behave identically on every future access sequence, so
+// this ordered view is the canonical set state. It is the accessor
+// the replay differential tests dump every set through when they
+// compare a replayed machine against the recording run's.
+func (c *Cache) ViewSet(set uint64) []LineView {
+	base := int(set) * c.ways
+	view := make([]LineView, 0, c.ways)
+	for i := base; i < base+c.ways; i++ {
+		ln := &c.lines[i]
+		if !ln.valid {
+			continue
+		}
+		view = append(view, LineView{Tag: ln.tag, LastUse: ln.lastUse, Dirty: ln.dirty})
+	}
+	// Insertion sort by LastUse; ticks are unique per cache, and sets
+	// hold at most a handful of ways.
+	for i := 1; i < len(view); i++ {
+		for j := i; j > 0 && view[j].LastUse < view[j-1].LastUse; j-- {
+			view[j], view[j-1] = view[j-1], view[j]
+		}
+	}
+	return view
+}
+
+// Tick returns the cache's LRU clock (one tick per access).
+func (c *Cache) Tick() uint64 { return c.useTick }

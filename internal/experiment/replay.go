@@ -115,28 +115,20 @@ func CurrentTraceCacheStats() TraceCacheStats {
 
 // RunSchemes runs one benchmark under several schemes with the
 // record-once / replay-many fast path (see Compare) and returns the
-// results in scheme order. The first scheme records (or reuses the
-// cached trace); the rest replay in parallel, falling back to direct
-// execution on divergence. With Options.NoReplay every scheme runs
-// directly.
+// results in scheme order. With replay enabled (the default), the
+// first scheme's run doubles as the recording run — or is itself
+// replayed when the process-wide cache already holds the benchmark's
+// trace — and the remaining schemes replay in parallel, bounded by
+// Options.Parallelism. A scheme whose replay diverges (possible only
+// for truncated traces under overhead-charging schemes) falls back to
+// direct execution. With Options.NoReplay every scheme runs directly.
+// Results match direct execution bit-for-bit either way; error
+// semantics match the sequential original (the first failing scheme
+// in scheme order reports).
 func RunSchemes(spec workload.Spec, opt Options, schemes []Scheme) ([]*Result, error) {
 	if len(schemes) == 0 {
 		return nil, nil
 	}
-	return schemeResults(spec, opt, schemes)
-}
-
-// schemeResults runs one benchmark under the given schemes in order.
-// With replay enabled (the default), the first scheme's run doubles as
-// the recording run — or is itself replayed when the process-wide
-// cache already holds the benchmark's trace — and the remaining
-// schemes replay in parallel, bounded by Options.Parallelism. A
-// scheme whose replay diverges (possible only for truncated traces
-// under overhead-charging schemes) falls back to direct execution.
-// Results match direct execution bit-for-bit either way; error
-// semantics match the sequential original (the first failing scheme
-// in scheme order reports).
-func schemeResults(spec workload.Spec, opt Options, schemes []Scheme) ([]*Result, error) {
 	results := make([]*Result, len(schemes))
 	if opt.NoReplay {
 		for i, s := range schemes {

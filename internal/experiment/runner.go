@@ -607,7 +607,7 @@ type Comparison struct {
 // fetched from the process-wide cache) and the other schemes replay it
 // — bit-identical to direct execution, at a fraction of the cost.
 func Compare(spec workload.Spec, opt Options) (*Comparison, error) {
-	rs, err := schemeResults(spec, opt, []Scheme{SchemeBaseline, SchemeBBV, SchemeHotspot})
+	rs, err := RunSchemes(spec, opt, []Scheme{SchemeBaseline, SchemeBBV, SchemeHotspot})
 	if err != nil {
 		return nil, err
 	}
@@ -672,7 +672,7 @@ type DetectorComparison struct {
 // as Compare (sharing its trace cache — a Compare followed by a
 // CompareDetectors of the same benchmark records nothing twice).
 func CompareDetectors(spec workload.Spec, opt Options) (*DetectorComparison, error) {
-	rs, err := schemeResults(spec, opt, []Scheme{SchemeBaseline, SchemeBBV, SchemeWSS, SchemeHotspot})
+	rs, err := RunSchemes(spec, opt, []Scheme{SchemeBaseline, SchemeBBV, SchemeWSS, SchemeHotspot})
 	if err != nil {
 		return nil, err
 	}

@@ -429,42 +429,17 @@ func (m *Machine) Fetch(pc uint64, instrs int) {
 // program stores each block's precomputed range (program.Block
 // FirstLine/LastLine), so the per-block-entry fast path skips the
 // address arithmetic Fetch performs.
-func (m *Machine) FetchLines(first, last uint64) {
+//
+// It reports each line's I-TLB and L1I outcomes as bitmasks (bit i set
+// = the walk's i-th line missed). Both structures have fixed
+// configurations, so the masks are scheme-invariant and a trace
+// replayer can re-apply them without re-simulating either structure.
+// ok is false when the range spans more than 64 lines: a shift of 64 or
+// more is 0, so the masks stop recording past line 63, while the
+// accesses still happen in full.
+func (m *Machine) FetchLines(first, last uint64) (tlbMask, missMask uint64, ok bool) {
+	i := uint(0)
 	for addr := first; ; addr += iLineBytes {
-		if !m.ITLB.Access(addr) {
-			m.Timing.TLBMiss()
-		}
-		m.ML1I.Access()
-		r := m.L1I.Access(addr, false)
-		if r.Writeback {
-			m.l2Access(r.WritebackAddr, true)
-		}
-		if !r.Hit {
-			m.Timing.L1Miss()
-			m.l2Access(addr, false)
-		}
-		if addr == last {
-			break
-		}
-	}
-}
-
-// FetchLinesObserved performs FetchLines while reporting each line's
-// I-TLB and L1I outcomes as bitmasks (bit i set = the walk's i-th line
-// missed). Both structures have fixed configurations, so the masks are
-// scheme-invariant and a trace replayer can re-apply them without
-// re-simulating either structure. ok is false when the range spans
-// more than 64 lines (the masks cannot represent it); the accesses
-// still happen in full, only the observation is incomplete.
-func (m *Machine) FetchLinesObserved(first, last uint64) (tlbMask, missMask uint64, ok bool) {
-	ok = true
-	i := 0
-	for addr := first; ; addr += iLineBytes {
-		if i >= 64 {
-			ok = false
-			m.FetchLines(addr, last)
-			return tlbMask, missMask, false
-		}
 		if !m.ITLB.Access(addr) {
 			m.Timing.TLBMiss()
 			tlbMask |= 1 << i
@@ -484,36 +459,7 @@ func (m *Machine) FetchLinesObserved(first, last uint64) (tlbMask, missMask uint
 		}
 		i++
 	}
-	return tlbMask, missMask, ok
-}
-
-// ColdFetchMasks reconstructs the FetchLinesObserved outcome of the
-// very first fetch walk on cold structures — the engine's
-// construction-time entry push, which runs before a recorder can be
-// installed. With an empty L1I every line misses; with an empty I-TLB
-// a line misses exactly when it is the walk's first line of its page.
-func (m *Machine) ColdFetchMasks(first, last uint64) (tlbMask, missMask uint64, ok bool) {
-	page := uint64(m.cfg.PageBytes)
-	if page == 0 {
-		page = 4096
-	}
-	prevPage := ^uint64(0)
-	i := 0
-	for addr := first; ; addr += iLineBytes {
-		if i >= 64 {
-			return tlbMask, missMask, false
-		}
-		if p := addr / page; p != prevPage {
-			tlbMask |= 1 << i
-			prevPage = p
-		}
-		missMask |= 1 << i
-		if addr == last {
-			break
-		}
-		i++
-	}
-	return tlbMask, missMask, true
+	return tlbMask, missMask, i < 64
 }
 
 // ReplayFetchLines applies a recorded fetch walk: the fixed
@@ -539,27 +485,10 @@ func (m *Machine) ReplayFetchLines(first, last, tlbMask, missMask uint64) {
 	}
 }
 
-// Data simulates a data access to the given word address.
-func (m *Machine) Data(wordAddr uint64, write bool) {
-	addr := wordAddr * 8
-	if !m.DTLB.Access(addr) {
-		m.Timing.TLBMiss()
-	}
-	m.ML1D.Access()
-	r := m.L1D.Access(addr, write)
-	if r.Writeback {
-		m.l2Access(r.WritebackAddr, true)
-	}
-	if !r.Hit {
-		m.Timing.L1Miss()
-		m.l2Access(addr, false)
-	}
-}
-
-// DataObserved performs Data while reporting the D-TLB outcome — the
-// one scheme-invariant piece of a data access (the L1D and L2 are
-// resizable and must be simulated live on replay).
-func (m *Machine) DataObserved(wordAddr uint64, write bool) (tlbMiss bool) {
+// Data simulates a data access to the given word address and reports
+// the D-TLB outcome — the one scheme-invariant piece of a data access
+// (the L1D and L2 are resizable and must be simulated live on replay).
+func (m *Machine) Data(wordAddr uint64, write bool) (tlbMiss bool) {
 	addr := wordAddr * 8
 	if !m.DTLB.Access(addr) {
 		m.Timing.TLBMiss()
@@ -618,15 +547,6 @@ func (m *Machine) CondBranch(pc uint64, outcome bool) bool {
 	return true
 }
 
-// ReplayBranch applies a recorded conditional branch: the predictor's
-// verdict was captured at record time, so replay only charges the
-// misprediction without consulting (or updating) the predictor.
-func (m *Machine) ReplayBranch(correct bool) {
-	if !correct {
-		m.Timing.Mispredict()
-	}
-}
-
 // ReplayFetchCharges applies the charges of a recorded fetch walk
 // whose miss mask is empty in bulk: per-line I-cache read energy and
 // I-TLB miss stalls. With no L1I miss there is no L2 traffic, so the
@@ -639,30 +559,14 @@ func (m *Machine) ReplayFetchCharges(lines, tlbMisses uint64) {
 	m.ML1I.AccessRepeat(lines)
 }
 
-// TryReplayDataFootprint applies a summarized block instance's whole
-// data working set as one bulk update when every footprint line is
-// resident in the L1D: the recorded D-TLB misses charge timing, the
-// instance's accesses charge L1D energy, and the cache commits the
-// footprint (all hits — see cache.TryApplyFootprint for the
-// equivalence argument). When any line is absent, nothing is charged
-// and false is returned: the caller must replay the instance's
-// accesses exactly.
-func (m *Machine) TryReplayDataFootprint(foot []cache.FootLine, accesses, tlbMisses uint64) bool {
-	if !m.L1D.TryApplyFootprint(foot, accesses) {
-		return false
-	}
-	m.Timing.TLBMissN(tlbMisses)
-	m.ML1D.AccessRepeat(accesses)
-	return true
-}
-
 // ChargeDataTLBMisses charges n recorded D-TLB misses in bulk — the
 // summarized replay's exact per-access path separates the (order-
 // independent) TLB stall charges from the live cache simulation.
 func (m *Machine) ChargeDataTLBMisses(n uint64) { m.Timing.TLBMissN(n) }
 
-// ChargeMispredicts charges n recorded branch mispredictions in bulk
-// (the summarized equivalent of n ReplayBranch(false) calls).
+// ChargeMispredicts charges n recorded branch mispredictions in bulk:
+// the predictor's verdicts were captured at record time, so replay
+// charges them without consulting (or updating) the predictor.
 func (m *Machine) ChargeMispredicts(n uint64) { m.Timing.MispredictN(n) }
 
 // Release hands the machine's cache arrays to machines built later

@@ -5,47 +5,10 @@ import (
 	"testing"
 )
 
-// TestObservedMatchesPlain: the Observed variants perform exactly the
-// same simulation as their plain counterparts — they only additionally
-// report the fixed-hardware outcomes.
-func TestObservedMatchesPlain(t *testing.T) {
-	a, b := newMach(t), newMach(t)
-	drive := func(m *Machine, observed bool) {
-		for i := 0; i < 4; i++ {
-			// Line addresses are 64 B-aligned byte addresses.
-			first := uint64(i * 7 * 64)
-			last := first + 3*64
-			if observed {
-				m.FetchLinesObserved(first, last)
-			} else {
-				m.FetchLines(first, last)
-			}
-			m.IssueBatch(12)
-			for j := 0; j < 6; j++ {
-				addr := uint64(i*100 + j*17)
-				if observed {
-					m.DataObserved(addr, j%2 == 0)
-				} else {
-					m.Data(addr, j%2 == 0)
-				}
-			}
-			m.CondBranch(uint64(i*64), i%2 == 0)
-		}
-	}
-	drive(a, false)
-	drive(b, true)
-	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
-		t.Errorf("observed run diverged:\nplain    = %+v\nobserved = %+v", a.Snapshot(), b.Snapshot())
-	}
-	if !reflect.DeepEqual(a.Timing.Breakdown(), b.Timing.Breakdown()) {
-		t.Errorf("timing diverged:\nplain    = %+v\nobserved = %+v", a.Timing.Breakdown(), b.Timing.Breakdown())
-	}
-}
-
-// TestReplayMatchesDirect: replaying the outcomes captured by the
-// Observed variants into a fresh machine reproduces the direct run's
-// snapshot and timing exactly — the machine-level core of the
-// record-once / replay-many fast path.
+// TestReplayMatchesDirect: replaying the fixed-hardware outcomes that
+// the direct run's FetchLines, Data and CondBranch report into a fresh
+// machine reproduces the direct run's snapshot and timing exactly — the
+// machine-level core of the record-once / replay-many fast path.
 func TestReplayMatchesDirect(t *testing.T) {
 	type fetch struct {
 		first, last       uint64
@@ -65,7 +28,7 @@ func TestReplayMatchesDirect(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		first := uint64(i * 5 * 64)
 		last := first + uint64(i%3)*64
-		tlb, miss, ok := direct.FetchLinesObserved(first, last)
+		tlb, miss, ok := direct.FetchLines(first, last)
 		if !ok {
 			t.Fatalf("block %d too wide for masks", i)
 		}
@@ -74,7 +37,7 @@ func TestReplayMatchesDirect(t *testing.T) {
 		for j := 0; j < 5; j++ {
 			addr := uint64(i*200 + j*13)
 			write := (i+j)%3 == 0
-			datas = append(datas, data{addr, write, direct.DataObserved(addr, write)})
+			datas = append(datas, data{addr, write, direct.Data(addr, write)})
 		}
 		branches = append(branches, branch{direct.CondBranch(uint64(i*64), i%2 == 0)})
 	}
@@ -89,7 +52,9 @@ func TestReplayMatchesDirect(t *testing.T) {
 			di++
 			replay.ReplayData(d.addr, d.write, d.tlbMiss)
 		}
-		replay.ReplayBranch(branches[bi].correct)
+		if !branches[bi].correct {
+			replay.ChargeMispredicts(1)
+		}
 		bi++
 	}
 
@@ -101,19 +66,22 @@ func TestReplayMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestColdFetchMasks: on a fresh machine the reconstructed cold-start
-// outcomes must equal what FetchLinesObserved actually observes.
-func TestColdFetchMasks(t *testing.T) {
-	for _, span := range []struct{ first, last uint64 }{
-		{0, 0}, {0, 3 * 64}, {5 * 64, 12 * 64}, {60 * 64, 68 * 64}, {127 * 64, 130 * 64},
-	} {
-		pred := newMach(t)
-		wantTLB, wantMiss, wantOK := pred.ColdFetchMasks(span.first, span.last)
-		obs := newMach(t)
-		gotTLB, gotMiss, gotOK := obs.FetchLinesObserved(span.first, span.last)
-		if wantTLB != gotTLB || wantMiss != gotMiss || wantOK != gotOK {
-			t.Errorf("span %+v: ColdFetchMasks = (%x,%x,%v), observed (%x,%x,%v)",
-				span, wantTLB, wantMiss, wantOK, gotTLB, gotMiss, gotOK)
+// TestFetchLinesMaskWidth: a cold walk misses every line, so the L1I
+// mask is full up to the 64 lines it can represent; a 65th line still
+// fetches but clears ok.
+func TestFetchLinesMaskWidth(t *testing.T) {
+	for _, tc := range []struct {
+		lines uint64
+		miss  uint64
+		ok    bool
+	}{{1, 1, true}, {63, 1<<63 - 1, true}, {64, ^uint64(0), true}, {65, ^uint64(0), false}} {
+		m := newMach(t)
+		_, miss, ok := m.FetchLines(0, (tc.lines-1)*iLineBytes)
+		if miss != tc.miss || ok != tc.ok {
+			t.Errorf("%d lines: miss mask %x ok %v, want %x %v", tc.lines, miss, ok, tc.miss, tc.ok)
+		}
+		if got := m.L1I.Stats().Accesses; got != tc.lines {
+			t.Errorf("%d lines: %d L1I accesses", tc.lines, got)
 		}
 	}
 }

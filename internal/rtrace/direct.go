@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"unsafe"
 
-	"acedo/internal/cache"
 	"acedo/internal/program"
 	"acedo/internal/vm"
 )
@@ -19,7 +18,7 @@ const summaryMaxMemBytes = 576 << 20
 
 // summaryMemBytes is the summary's resident size: the bytes allocated
 // for it, not the bytes in use — every stream segment in full, and the
-// capacity of the run, shape, ext, data and footprint tables.
+// capacity of the run, shape, ext and data tables.
 func summaryMemBytes(s *summary) int {
 	const (
 		shapeSegBytes = int(unsafe.Sizeof(shapeSeg{}))
@@ -27,11 +26,10 @@ func summaryMemBytes(s *summary) int {
 		runBytes      = int(unsafe.Sizeof(sumRun{}))
 		shapeBytes    = int(unsafe.Sizeof(opShape{}))
 		extBytes      = int(unsafe.Sizeof(sumExt{}))
-		footBytes     = int(unsafe.Sizeof(cache.FootLine{}))
 	)
 	return len(s.shapeSegs)*shapeSegBytes + len(s.opndSegs)*opndSegBytes +
 		cap(s.runs)*runBytes + cap(s.shapes)*shapeBytes +
-		cap(s.ext)*extBytes + cap(s.data)*8 + cap(s.foot)*footBytes
+		cap(s.ext)*extBytes + cap(s.data)*8
 }
 
 // MemBytes reports the trace's resident memory: its summary's shape

@@ -225,9 +225,6 @@ func checkSameSummary(t *testing.T, label string, want, got *summary) {
 	if !reflect.DeepEqual(got.data, want.data) {
 		t.Errorf("%s: data table differs (%d vs %d accesses)", label, len(got.data), len(want.data))
 	}
-	if !reflect.DeepEqual(got.foot, want.foot) {
-		t.Errorf("%s: footprint table differs (%d vs %d lines)", label, len(got.foot), len(want.foot))
-	}
 	if got.progSig != want.progSig {
 		t.Errorf("%s: progSig %#x, want %#x", label, got.progSig, want.progSig)
 	}

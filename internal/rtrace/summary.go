@@ -1,14 +1,9 @@
 // Summarized-block replay: the recorder folds every block instance's
 // body events (data accesses, retire batches, branch verdicts, D-TLB
-// outcomes) into one pre-aggregated op, together with the instance's
-// distinct-line data footprint. Replays walk that op stream:
+// outcomes) into one pre-aggregated op. Replays walk that op stream:
 // single-access bodies (the overwhelming case in the suite's workloads)
-// apply as one direct data access, multi-access bodies whose footprint
-// is fully resident in the live L1D apply as one bulk arithmetic
-// update — stats, LRU ticks, dirty bits, energy, and stalls land
-// exactly where the per-access path puts them (see
-// cache.TryApplyFootprint) — and everything else falls back to the
-// exact per-access path.
+// apply as one direct data access, and multi-access bodies replay their
+// access list in order.
 //
 // Replay cost is meant to scale with the trace's data accesses, the
 // live cache simulation that is the real work, and not with its op or
@@ -52,7 +47,6 @@ import (
 	"hash/fnv"
 	"math/bits"
 
-	"acedo/internal/cache"
 	"acedo/internal/isa"
 	"acedo/internal/machine"
 	"acedo/internal/program"
@@ -163,22 +157,19 @@ type sumExt struct {
 	tlbMask   uint64 // fetch walk: recorded I-TLB miss mask
 	missMask  uint64 // fetch walk: recorded L1I miss mask
 	dataOff   uint32 // body: offset into summary.data
-	footOff   uint32 // body: offset into summary.foot
 	nData     uint32 // body: data access count
 	nInstrs   uint32 // opEnter/opBlock: block instruction count
 	dtlb      uint32 // body: recorded D-TLB misses
 	brWrong   uint32 // body: recorded branch mispredictions
 	method    int32  // opEnter: method ID; -1 otherwise
 	nLines    uint16 // opEnter/opBlock: I-lines in the fetch walk
-	nFoot     uint8  // body: footprint length (0 with fastOK unset)
-	fastOK    bool   // footprint small enough for the bulk-apply path
 }
 
 // summary is a recording resolved against its program: the shape and
 // operand streams, the runs, the shape table every op indexes, the
-// side table rare ops index into, and the flat data-access and
-// footprint tables for ext bodies. Immutable once Finish seals it, and
-// shared by every concurrent replay of the trace.
+// side table rare ops index into, and the flat data-access table for
+// ext bodies. Immutable once Finish seals it, and shared by every
+// concurrent replay of the trace.
 type summary struct {
 	shapeSegs []*shapeSeg
 	opndSegs  []*operandSeg
@@ -188,12 +179,11 @@ type summary struct {
 	shapes    []opShape
 	ext       []sumExt
 	data      []uint64 // wordAddr<<1 | write bit, in access order
-	foot      []cache.FootLine
 	progSig   uint64
 }
 
-// iLine is the L1I/L1D line size the recorder computes footprints
-// and fetch-walk ranges at (matches machine.New's cache geometry).
+// iLine is the L1I line size the recorder computes fetch-walk ranges at
+// (matches machine.New's cache geometry).
 const iLine = isa.ILineBytes
 
 // progSigOf fingerprints the program content a summary's resolved
@@ -342,39 +332,6 @@ func (b *sumBuilder) init(prog *program.Program) {
 	}
 }
 
-// footprintOf appends the body's distinct-line footprint — each
-// line with the ordinal of its last access and the OR of its writes
-// — returning false when it exceeds cache.MaxFootprint (the body
-// then stays exact-only).
-func (b *sumBuilder) footprintOf() (uint8, bool) {
-	s := b.s
-	base := len(s.foot)
-	for i, d := range b.body {
-		line := ((d >> 1) * 8) &^ (iLine - 1)
-		write := d&1 != 0
-		found := false
-		for j := base; j < len(s.foot); j++ {
-			if s.foot[j].Addr == line {
-				s.foot[j].Ordinal = uint32(i + 1)
-				if write {
-					s.foot[j].Write = true
-				}
-				found = true
-				break
-			}
-		}
-		if found {
-			continue
-		}
-		if len(s.foot)-base >= cache.MaxFootprint {
-			s.foot = s.foot[:base]
-			return 0, false
-		}
-		s.foot = append(s.foot, cache.FootLine{Addr: line, Ordinal: uint32(i + 1), Write: write})
-	}
-	return uint8(len(s.foot) - base), true
-}
-
 // addBatch accumulates a retire batch into the open op.
 func (b *sumBuilder) addBatch(n uint64) { b.open.batch += n }
 
@@ -510,29 +467,17 @@ func (b *sumBuilder) emit() {
 	if len(s.data)+int(nData) > cap(s.data) {
 		b.growData(len(s.data) + int(nData))
 	}
-	// fastOK only ever holds for multi-access bodies: single accesses
-	// replay directly (an empty footprint would bulk-"apply"
-	// vacuously, charging energy without touching the cache), and
-	// footprintOf reports overflow for the rest.
-	var nFoot uint8
-	var fastOK bool
-	if nData >= 2 {
-		nFoot, fastOK = b.footprintOf()
-	}
 	x := sumExt{
 		batch:    open.batch,
 		tlbMask:  open.tlbMask,
 		missMask: open.missMask,
 		dataOff:  uint32(len(s.data)),
-		footOff:  uint32(len(s.foot)) - uint32(nFoot),
 		nData:    nData,
 		nInstrs:  nInstrs,
 		dtlb:     open.dtlb,
 		brWrong:  open.brWrong,
 		method:   open.method,
 		nLines:   uint16(blkLines),
-		nFoot:    nFoot,
-		fastOK:   fastOK,
 	}
 	if blkLines != 0 {
 		x.firstLine = open.blkFirst
@@ -689,8 +634,8 @@ func (b *sumBuilder) end(halted bool) {
 // for the body's whole retire total (exact by the batched-watermark
 // argument in vm.AOS.sampleDueN), bulk D-TLB/mispredict charges
 // (commutative integer constants within an instance), and a direct
-// access (packed single-access bodies), the footprint fast path, or the
-// exact per-access loop (ext bodies) for the data stream.
+// access (packed single-access bodies) or the per-access loop (ext
+// bodies) for the data stream.
 type sumWalker struct {
 	s          *summary
 	prog       *program.Program
@@ -698,7 +643,6 @@ type sumWalker struct {
 	aos        *vm.AOS
 	listener   func(pc uint64, instrs int)
 	sampling   bool
-	footOK     bool
 	check      bool
 	firstEnter bool
 	frames     []rframe
@@ -715,7 +659,6 @@ func newSumWalker(t *Trace, s *summary, env Env) *sumWalker {
 		aos:        env.AOS,
 		listener:   env.BlockListener,
 		sampling:   env.AOS.Params().SampleInterval != 0,
-		footOK:     env.Mach.L1D.BlockBytes() == iLine,
 		check:      t.truncated,
 		firstEnter: true,
 		frames:     make([]rframe, 0, 64),
@@ -963,20 +906,11 @@ func (w *sumWalker) applyExt(kind uint64, x *sumExt) error {
 		}
 	}
 
-	if x.nData > 0 {
-		applied := false
-		if x.fastOK && w.footOK {
-			foot := w.s.foot[x.footOff : x.footOff+uint32(x.nFoot)]
-			applied = mach.TryReplayDataFootprint(foot, uint64(x.nData), uint64(x.dtlb))
-		}
-		if !applied {
-			for _, d := range w.s.data[x.dataOff : x.dataOff+x.nData] {
-				mach.ReplayData(d>>1, d&1 != 0, false)
-			}
-			if x.dtlb != 0 {
-				mach.ChargeDataTLBMisses(uint64(x.dtlb))
-			}
-		}
+	for _, d := range w.s.data[x.dataOff : x.dataOff+x.nData] {
+		mach.ReplayData(d>>1, d&1 != 0, false)
+	}
+	if x.dtlb != 0 {
+		mach.ChargeDataTLBMisses(uint64(x.dtlb))
 	}
 	if x.batch > 0 {
 		mach.IssueBatch(x.batch)

@@ -114,10 +114,10 @@ func TestSummarizedReplayMatchesExact(t *testing.T) {
 // extPathInput is a driveDirect call sequence whose bodies must all
 // take the ext path but one: in method 0, block ops carrying a single
 // access at a word address ≥ 2^31 (too wide for the op's operand), two
-// accesses at such addresses, two accesses on one low line (exact path
-// when the line is cold, footprint bulk path once it is resident), and
-// finally a plain single low access, which stays packed. It is also a
-// FuzzRecorderCalls seed.
+// accesses at such addresses, two accesses on one low line (once while
+// the line is cold, once while it is resident), and finally a plain
+// single low access, which stays packed. Every ext body replays its
+// access list. It is also a FuzzRecorderCalls seed.
 var extPathInput = func() []byte {
 	// data encodes a cData call; zz is the zigzag address delta (15
 	// escapes to a uvarint that follows).
@@ -192,9 +192,6 @@ func TestExtPathWideAndMultiAccess(t *testing.T) {
 		if x := s.ext[ops[i]]; x.nData != want {
 			t.Errorf("block op %d: ext record has %d accesses, want %d", i, x.nData, want)
 		}
-	}
-	if x := s.ext[ops[2]]; !x.fastOK || x.nFoot != 1 {
-		t.Errorf("one-line body: fastOK %v nFoot %d, want a 1-line bulk-applicable footprint", x.fastOK, x.nFoot)
 	}
 	if last := blocks[4]; last.w&opExtBit != 0 || last.w&opDataBit == 0 || ops[4] != 14<<1 {
 		t.Errorf("low single access: shape %#x operand %#x, want packed with operand %#x", last.w, ops[4], 14<<1)

@@ -13,12 +13,12 @@ import (
 // exhausted before the program halts.
 var ErrBudget = errors.New("vm: instruction budget exhausted")
 
-// ExecMode selects how the engine dispatches sealed code. Every mode
-// is architecturally identical — same retired-instruction counts,
-// cycles, energy, sample points, and tuning decisions — the modes
-// differ only in host wall-clock speed. The differential determinism
-// tests assert exact equality of machine snapshots and DO databases
-// across modes.
+// ExecMode selects how the engine dispatches sealed code. Both modes
+// are architecturally identical — same retired-instruction counts,
+// cycles, energy, sample points, and tuning decisions — they differ
+// only in host wall-clock speed. The differential determinism tests
+// assert exact equality of machine snapshots and DO databases across
+// modes.
 type ExecMode int
 
 const (
@@ -28,15 +28,8 @@ const (
 	// settlement per run.
 	ModeOptimized ExecMode = iota
 
-	// ModeTiered mirrors the paper's baseline/optimizing compiler
-	// split: a method executes instruction-at-a-time until the AOS
-	// promotes it, after which invocations enter the block-batched
-	// optimized tier. Promotion becomes observable in wall-clock
-	// simulation speed without perturbing the simulation itself.
-	ModeTiered
-
 	// ModeBaseline is the instruction-at-a-time reference path, kept
-	// as the differential-testing oracle for the batched modes.
+	// as the differential-testing oracle for the batched path.
 	ModeBaseline
 )
 
@@ -45,8 +38,6 @@ func (m ExecMode) String() string {
 	switch m {
 	case ModeOptimized:
 		return "optimized"
-	case ModeTiered:
-		return "tiered"
 	case ModeBaseline:
 		return "baseline"
 	}
@@ -59,14 +50,12 @@ type frame struct {
 	idx        int
 	entryInstr uint64
 	retReg     uint8
-	fast       bool
 	regs       [isa.NumRegs]int64
 }
 
-// Stats reports the engine's execution-tier mix: how many retired
+// Stats reports the engine's execution-path mix: how many retired
 // instructions went through the block-batched fast path versus the
-// instruction-at-a-time path. In ModeTiered the batched share grows as
-// the AOS promotes hotspots — the tier switch made observable.
+// instruction-at-a-time path.
 type Stats struct {
 	// BatchedInstr counts instructions retired by the fast path.
 	BatchedInstr uint64
@@ -103,10 +92,16 @@ type Engine struct {
 	blockListener func(pc uint64, instrs int)
 
 	// rec, when set, observes the architectural event stream (see
-	// SetRecorder in record.go). Recording swaps the machine's fetch
-	// and data calls for their outcome-observing variants; it never
+	// SetRecorder in record.go): the engine hands it the outcomes the
+	// machine's fetch, data and branch calls report, so recording never
 	// changes what the machine simulates.
 	rec Recorder
+
+	// entryTLB, entryMiss and entryOK are the fetch outcomes of the
+	// construction-time entry push, which runs before a recorder can
+	// be installed; SetRecorder reports them.
+	entryTLB, entryMiss uint64
+	entryOK             bool
 
 	// recData buffers the fast path's packed data accesses (BodyData)
 	// between block boundaries so a whole body reaches the recorder
@@ -142,37 +137,19 @@ func NewEngine(prog *program.Program, mach *machine.Machine, aos *AOS) (*Engine,
 		frames:      make([]frame, aos.params.MaxCallDepth),
 		sampleEvery: aos.params.SampleInterval,
 	}
-	e.push(prog.Entry, 0)
+	e.entryTLB, e.entryMiss, e.entryOK = e.push(prog.Entry, 0)
 	return e, nil
 }
 
-// SetMode switches the execution mode. It retiers the frames already
-// on the stack, so switching before the first Run fully selects the
-// path; switching mid-run affects in-flight invocations too.
-func (e *Engine) SetMode(m ExecMode) {
-	e.mode = m
-	for i := 0; i < e.depth; i++ {
-		e.frames[i].fast = e.tierFast(e.frames[i].m.ID)
-	}
-}
+// SetMode switches the execution mode; the next Run dispatches under
+// it.
+func (e *Engine) SetMode(m ExecMode) { e.mode = m }
 
 // Mode returns the current execution mode.
 func (e *Engine) Mode() ExecMode { return e.mode }
 
-// Stats returns the execution-tier counters.
+// Stats returns the execution-path counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// tierFast decides whether a frame of the given method dispatches
-// through the block-batched fast path under the current mode.
-func (e *Engine) tierFast(id program.MethodID) bool {
-	switch e.mode {
-	case ModeOptimized:
-		return true
-	case ModeTiered:
-		return e.aos.profiles[id].Promoted
-	}
-	return false
-}
 
 // Halted reports whether the program executed OpHalt.
 func (e *Engine) Halted() bool { return e.halted }
@@ -184,7 +161,8 @@ func (e *Engine) Mem() []int64 { return e.mem }
 // Depth returns the current call depth.
 func (e *Engine) Depth() int { return e.depth }
 
-func (e *Engine) push(id program.MethodID, retReg uint8) {
+// push enters method id and returns its entry block's fetch outcomes.
+func (e *Engine) push(id program.MethodID, retReg uint8) (tlbMask, missMask uint64, ok bool) {
 	f := &e.frames[e.depth]
 	e.depth++
 	f.m = e.prog.Method(id)
@@ -192,29 +170,23 @@ func (e *Engine) push(id program.MethodID, retReg uint8) {
 	f.entryInstr = e.mach.Instructions()
 	f.idx = 0
 	f.block = f.m.Blocks[0]
+	tlbMask, missMask, ok = e.mach.FetchLines(f.block.FirstLine, f.block.LastLine)
 	if e.rec != nil {
-		tlb, miss, ok := e.mach.FetchLinesObserved(f.block.FirstLine, f.block.LastLine)
-		e.rec.RecordEnter(id, tlb, miss, ok)
-	} else {
-		e.mach.FetchLines(f.block.FirstLine, f.block.LastLine)
+		e.rec.RecordEnter(id, tlbMask, missMask, ok)
 	}
 	if e.blockListener != nil {
 		e.blockListener(f.block.PC, len(f.block.Instrs))
 	}
 	e.aos.methodEnter(id)
-	// Tier after the enter event: a method promoted on this very
-	// invocation enters the optimized tier immediately.
-	f.fast = e.tierFast(id)
+	return tlbMask, missMask, ok
 }
 
 func (e *Engine) enterBlock(f *frame, idx int) {
 	f.block = f.m.Blocks[idx]
 	f.idx = 0
+	tlb, miss, ok := e.mach.FetchLines(f.block.FirstLine, f.block.LastLine)
 	if e.rec != nil {
-		tlb, miss, ok := e.mach.FetchLinesObserved(f.block.FirstLine, f.block.LastLine)
 		e.rec.RecordBlock(idx, tlb, miss, ok)
-	} else {
-		e.mach.FetchLines(f.block.FirstLine, f.block.LastLine)
 	}
 	if e.blockListener != nil {
 		e.blockListener(f.block.PC, len(f.block.Instrs))
@@ -241,6 +213,7 @@ func (e *Engine) Run(maxInstr uint64) error {
 	// and halt, so the loop re-derives it there rather than every
 	// iteration.
 	f := &e.frames[e.depth-1]
+	fast := e.mode == ModeOptimized
 	for {
 		if e.mach.Instructions() >= limit {
 			return ErrBudget
@@ -268,7 +241,7 @@ func (e *Engine) Run(maxInstr uint64) error {
 		// Calls, returns, and halts flush the batch and drop to the
 		// stepped path, which reads the instruction count at frame
 		// boundaries.
-		if f.fast {
+		if fast {
 			ops := f.block.Ops
 			i := f.idx
 			rem := limit - e.mach.Instructions()
@@ -300,10 +273,9 @@ func (e *Engine) Run(maxInstr uint64) error {
 						fastErr = e.fault(f, fmt.Sprintf("load address %d out of range [0,%d)", addr, len(e.mem)))
 						break walk
 					}
+					tlbMiss := e.mach.Data(uint64(addr), false)
 					if e.rec != nil {
-						e.recData = append(e.recData, BodyData(uint64(addr), false, e.mach.DataObserved(uint64(addr), false)))
-					} else {
-						e.mach.Data(uint64(addr), false)
+						e.recData = append(e.recData, BodyData(uint64(addr), false, tlbMiss))
 					}
 					f.regs[op.A] = e.mem[addr]
 					i++
@@ -315,10 +287,9 @@ func (e *Engine) Run(maxInstr uint64) error {
 						fastErr = e.fault(f, fmt.Sprintf("store address %d out of range [0,%d)", addr, len(e.mem)))
 						break walk
 					}
+					tlbMiss := e.mach.Data(uint64(addr), true)
 					if e.rec != nil {
-						e.recData = append(e.recData, BodyData(uint64(addr), true, e.mach.DataObserved(uint64(addr), true)))
-					} else {
-						e.mach.Data(uint64(addr), true)
+						e.recData = append(e.recData, BodyData(uint64(addr), true, tlbMiss))
 					}
 					e.mem[addr] = f.regs[op.A]
 					i++
@@ -384,7 +355,7 @@ func (e *Engine) Run(maxInstr uint64) error {
 		op := &f.block.Ops[f.idx]
 
 		// Stepped path: one instruction at a time — the reference
-		// semantics (and the cold tier in ModeTiered).
+		// semantics.
 		e.mach.Issue(1)
 		if e.rec != nil {
 			e.rec.RecordBatch(1)
@@ -472,10 +443,9 @@ func (e *Engine) Run(maxInstr uint64) error {
 			if addr < 0 || addr >= int64(len(e.mem)) {
 				return e.fault(f, fmt.Sprintf("load address %d out of range [0,%d)", addr, len(e.mem)))
 			}
+			tlbMiss := e.mach.Data(uint64(addr), false)
 			if e.rec != nil {
-				e.rec.RecordData(uint64(addr), false, e.mach.DataObserved(uint64(addr), false))
-			} else {
-				e.mach.Data(uint64(addr), false)
+				e.rec.RecordData(uint64(addr), false, tlbMiss)
 			}
 			f.regs[op.A] = e.mem[addr]
 			f.idx++
@@ -484,10 +454,9 @@ func (e *Engine) Run(maxInstr uint64) error {
 			if addr < 0 || addr >= int64(len(e.mem)) {
 				return e.fault(f, fmt.Sprintf("store address %d out of range [0,%d)", addr, len(e.mem)))
 			}
+			tlbMiss := e.mach.Data(uint64(addr), true)
 			if e.rec != nil {
-				e.rec.RecordData(uint64(addr), true, e.mach.DataObserved(uint64(addr), true))
-			} else {
-				e.mach.Data(uint64(addr), true)
+				e.rec.RecordData(uint64(addr), true, tlbMiss)
 			}
 			e.mem[addr] = f.regs[op.A]
 			f.idx++

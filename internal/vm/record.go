@@ -71,10 +71,8 @@ func BodyData(wordAddr uint64, write, tlbMiss bool) uint64 {
 //
 // It must be called on a fresh engine — immediately after NewEngine,
 // before any Run. The entry method's construction-time push executed
-// before the recorder existed, so SetRecorder re-reports it with the
-// cold-structure fetch outcomes reconstructed by the machine (the
-// I-TLB and L1I were empty when that push ran, making the outcomes a
-// pure function of the block's line range).
+// before the recorder existed, so SetRecorder reports it with the fetch
+// outcomes NewEngine kept.
 func (e *Engine) SetRecorder(r Recorder) error {
 	if r == nil {
 		e.rec = nil
@@ -85,9 +83,7 @@ func (e *Engine) SetRecorder(r Recorder) error {
 		return fmt.Errorf("vm: recorder must be installed on a fresh engine")
 	}
 	e.rec = r
-	b := e.frames[0].block
-	tlb, miss, ok := e.mach.ColdFetchMasks(b.FirstLine, b.LastLine)
-	r.RecordEnter(e.frames[0].m.ID, tlb, miss, ok)
+	r.RecordEnter(e.frames[0].m.ID, e.entryTLB, e.entryMiss, e.entryOK)
 	return nil
 }
 
