@@ -1,15 +1,19 @@
 // Record-once / replay-many: the experiment layer records each
-// benchmark's architectural event stream during its first (baseline)
-// run and replays that trace for every other scheme instead of
-// re-interpreting the program. The stream — block entries with their
-// fixed-hardware fetch outcomes, data accesses with D-TLB outcomes,
-// branch verdicts, retire-batch lengths, and method enter/exit — is
-// scheme-invariant: adaptation schemes resize the L1D/L2/IQ, which
-// changes timing and energy but never the instruction stream or the
-// fixed units' hit/miss behaviour. Replay therefore reproduces every
-// run bit-for-bit (pinned by the differential tests) while skipping
-// the register file, the decoder, and the fixed hardware's state
-// machines entirely.
+// benchmark's architectural event stream during its first run — a
+// direct run (runDirect) with a recorder attached — caches it
+// (traceFor), and replays that trace for every other scheme instead
+// of re-interpreting the program. The stream — block entries with
+// their fixed-hardware fetch outcomes, data accesses with D-TLB
+// outcomes, branch verdicts, retire-batch lengths, and method
+// enter/exit — is scheme-invariant: adaptation schemes resize the
+// L1D/L2/IQ, which changes timing and energy but never the
+// instruction stream or the fixed units' hit/miss behaviour. Replay
+// therefore reproduces every run bit-for-bit (pinned by the
+// differential tests) while skipping the register file, the decoder,
+// and the fixed hardware's state machines entirely. The one thing a
+// scheme can change is where a budget-stopped run ends, because the
+// budget counts instrumentation overhead the recorder never sees: a
+// truncated recording whose run charged overhead is never kept.
 package experiment
 
 import (
@@ -23,7 +27,6 @@ import (
 
 	"acedo/internal/rtrace"
 	"acedo/internal/telemetry"
-	"acedo/internal/vm"
 	"acedo/internal/workload"
 )
 
@@ -116,13 +119,14 @@ func CurrentTraceCacheStats() TraceCacheStats {
 // RunSchemes runs one benchmark under several schemes with the
 // record-once / replay-many fast path (see Compare) and returns the
 // results in scheme order. With replay enabled (the default), the
-// first scheme's run doubles as the recording run — or is itself
-// replayed when the process-wide cache already holds the benchmark's
-// trace — and the remaining schemes replay in parallel, bounded by
+// first scheme's run doubles as the recording run unless the
+// process-wide cache already holds the benchmark's trace, and the
+// remaining schemes replay in parallel, bounded by
 // Options.Parallelism. A scheme whose replay diverges (possible only
 // for truncated traces under overhead-charging schemes) falls back to
-// direct execution. With Options.NoReplay every scheme runs directly.
-// Results match direct execution bit-for-bit either way; error
+// direct execution, and so does every scheme when no trace could be
+// recorded. With Options.NoReplay every scheme runs directly, in
+// order. Results match direct execution bit-for-bit either way; error
 // semantics match the sequential original (the first failing scheme
 // in scheme order reports).
 func RunSchemes(spec workload.Spec, opt Options, schemes []Scheme) ([]*Result, error) {
@@ -141,34 +145,15 @@ func RunSchemes(spec workload.Spec, opt Options, schemes []Scheme) ([]*Result, e
 		return results, nil
 	}
 
-	key := traceKeyFor(spec, opt)
-	tr := cachedTrace(key)
+	first, tr, err := traceFor(spec, schemes[0], opt)
+	if err != nil {
+		return nil, err
+	}
+	results[0] = first
 	next := 0
-	if tr == nil {
-		r, t, err := recordRun(spec, schemes[0], opt)
-		if err != nil {
-			return nil, err
-		}
-		results[0] = r
+	if first != nil {
 		next = 1
-		if t != nil {
-			storeTrace(key, t)
-			tr = t
-		}
 	}
-	if tr == nil {
-		// The recording was discarded (e.g. a block too wide for the
-		// trace encoding): remaining schemes execute directly.
-		for i := next; i < len(schemes); i++ {
-			r, err := Run(spec, schemes[i], opt)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
-
 	par := opt.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -182,7 +167,7 @@ func RunSchemes(spec workload.Spec, opt Options, schemes []Scheme) ([]*Result, e
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i], errs[i] = replayOrFallback(spec, schemes[i], opt, tr)
+			results[i], errs[i] = ReplayScheme(spec, schemes[i], opt, tr)
 		}(i)
 	}
 	wg.Wait()
@@ -192,6 +177,26 @@ func RunSchemes(spec workload.Spec, opt Options, schemes []Scheme) ([]*Result, e
 		}
 	}
 	return results, nil
+}
+
+// traceFor returns one benchmark's trace: the process-wide cache's
+// when it holds one (with a nil result), or a fresh recording taken
+// during scheme's direct run, cached and returned with that run's
+// result. The recording is nil when runDirect could not keep it; the
+// result is valid either way.
+func traceFor(spec workload.Spec, scheme Scheme, opt Options) (*Result, *rtrace.Trace, error) {
+	key := traceKeyFor(spec, opt)
+	if tr := cachedTrace(key); tr != nil {
+		return nil, tr, nil
+	}
+	res, tr, err := runDirect(spec, scheme, opt, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	if tr != nil {
+		storeTrace(key, tr)
+	}
+	return res, tr, nil
 }
 
 // RecordedBaseline returns one benchmark's baseline run together with
@@ -204,17 +209,9 @@ func RunSchemes(spec workload.Spec, opt Options, schemes []Scheme) ([]*Result, e
 // candidate evaluation a cheap replay. A nil trace (the recorder could
 // not take the stream) is returned alongside the still-valid result.
 func RecordedBaseline(spec workload.Spec, opt Options) (*Result, *rtrace.Trace, error) {
-	key := traceKeyFor(spec, opt)
-	if tr := cachedTrace(key); tr != nil {
-		res, err := replayOrFallback(spec, SchemeBaseline, opt, tr)
-		return res, tr, err
-	}
-	res, tr, err := recordRun(spec, SchemeBaseline, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if tr != nil {
-		storeTrace(key, tr)
+	res, tr, err := traceFor(spec, SchemeBaseline, opt)
+	if err == nil && res == nil {
+		res, err = replayOrFallback(spec, SchemeBaseline, opt, tr)
 	}
 	return res, tr, err
 }
@@ -232,48 +229,6 @@ func ReplayScheme(spec workload.Spec, scheme Scheme, opt Options, tr *rtrace.Tra
 		return Run(spec, scheme, opt)
 	}
 	return replayOrFallback(spec, scheme, opt, tr)
-}
-
-// recordRun executes one run directly while capturing its
-// architectural trace. A trace the recorder could not take (or a
-// truncated run whose recording failed to finalise) yields a nil trace
-// alongside the still-valid result.
-func recordRun(spec workload.Spec, scheme Scheme, opt Options) (*Result, *rtrace.Trace, error) {
-	start := time.Now()
-	var tr *rtrace.Trace
-	res, err := guarded(spec, scheme, func() (*Result, error) {
-		st, err := newRunState(spec, scheme, opt)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := vm.NewEngine(st.prog, st.mach, st.aos)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s/%s: %w", spec.Name, scheme, err)
-		}
-		rec := rtrace.NewSummaryRecorder(st.prog, opt.MaxInstr)
-		if err := eng.SetRecorder(rec); err != nil {
-			return nil, fmt.Errorf("experiment %s/%s: %w", spec.Name, scheme, err)
-		}
-		if st.listener != nil {
-			eng.SetBlockListener(st.listener)
-		}
-		if err := runEngine(eng, spec.Name, scheme, opt); err != nil {
-			return nil, err
-		}
-		if t, ferr := rec.Finish(eng.Halted()); ferr == nil {
-			tr = t
-		}
-		return st.finish(), nil
-	})
-	if res != nil {
-		res.Wall = time.Since(start)
-		res.Disposition = RunDirect
-		if tr != nil {
-			res.Disposition = RunRecorded
-			emitDisposition(opt, spec, scheme, res, RunRecorded, "", tr)
-		}
-	}
-	return res, tr, err
 }
 
 // replayOrFallback replays one scheme from the benchmark's trace,

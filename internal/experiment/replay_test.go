@@ -93,6 +93,51 @@ func TestReplayMatchesDirectTruncated(t *testing.T) {
 	}
 }
 
+// TestTruncatedOverheadRecordingNotCached: RunSchemes records with
+// its first scheme, and the trace cache key ignores the scheme. A
+// budget-stopped hotspot run counts its instrumentation overhead
+// against the budget, but the recorder never sees that overhead, so
+// its stream stops early in program terms. It must not become the
+// benchmark's trace: the baseline after it in the list, and a later
+// Compare's baseline, must equal direct execution.
+func TestTruncatedOverheadRecordingNotCached(t *testing.T) {
+	spec, ok := workload.ByName("jess")
+	if !ok {
+		t.Fatal("no jess benchmark")
+	}
+	opt := DefaultOptions()
+	opt.MaxInstr = 3_000_000
+	resetTraceCache()
+	defer resetTraceCache()
+
+	rs, err := RunSchemes(spec, opt, []Scheme{SchemeHotspot, SchemeBaseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs[0].AOS.OverheadInstr == 0 {
+		t.Fatal("hotspot run charged no overhead; test is vacuous")
+	}
+	direct, err := Run(spec, SchemeBaseline, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSim(rs[1], direct) {
+		t.Errorf("baseline after a hotspot recording: %d instr %d cycles, direct %d instr %d cycles",
+			rs[1].Instr, rs[1].Cycles, direct.Instr, direct.Cycles)
+	}
+	if st := CurrentTraceCacheStats(); st.Entries != 0 {
+		t.Errorf("trace cache holds %d traces after a truncated overhead-charging recording, want 0", st.Entries)
+	}
+	cmp, err := Compare(spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSim(cmp.Base, direct) {
+		t.Errorf("later Compare baseline: %d instr %d cycles, direct %d instr %d cycles",
+			cmp.Base.Instr, cmp.Base.Cycles, direct.Instr, direct.Cycles)
+	}
+}
+
 // TestReplayDetectorsMatchDirect: CompareDetectors shares Compare's
 // trace cache, so after a Compare of the same benchmark all four of
 // its schemes replay — and match direct execution.

@@ -24,6 +24,7 @@ import (
 	"acedo/internal/fault"
 	"acedo/internal/machine"
 	"acedo/internal/program"
+	"acedo/internal/rtrace"
 	"acedo/internal/telemetry"
 	"acedo/internal/vm"
 	"acedo/internal/workload"
@@ -282,15 +283,60 @@ func IsTransient(err error) bool {
 // profiles of a suite — including the concurrent RunSuite — attribute
 // samples to the benchmark×scheme cell that burned them.
 func Run(spec workload.Spec, scheme Scheme, opt Options) (*Result, error) {
+	res, _, err := runDirect(spec, scheme, opt, false)
+	return res, err
+}
+
+// runDirect executes one run on the interpreter under Run's guard.
+// With record set, a recorder rides along and the run's architectural
+// trace comes back with its result; a trace the recorder could not
+// take comes back nil alongside the still-valid result. So does a
+// truncated recording whose run charged instrumentation overhead: the
+// budget counted instructions the recorder never saw, so the stream
+// stops early in program terms and would replay short under every
+// scheme that charges none.
+func runDirect(spec workload.Spec, scheme Scheme, opt Options, record bool) (*Result, *rtrace.Trace, error) {
 	start := time.Now()
+	var tr *rtrace.Trace
 	res, err := guarded(spec, scheme, func() (*Result, error) {
-		return run(spec, scheme, opt)
+		st, err := newRunState(spec, scheme, opt)
+		if err != nil {
+			return nil, err
+		}
+		eng, err := vm.NewEngine(st.prog, st.mach, st.aos)
+		if err != nil {
+			return nil, fmt.Errorf("experiment %s/%s: %w", spec.Name, scheme, err)
+		}
+		var rec *rtrace.SummaryRecorder
+		if record {
+			rec = rtrace.NewSummaryRecorder(st.prog, opt.MaxInstr)
+			if err := eng.SetRecorder(rec); err != nil {
+				return nil, fmt.Errorf("experiment %s/%s: %w", spec.Name, scheme, err)
+			}
+		}
+		if st.listener != nil {
+			eng.SetBlockListener(st.listener)
+		}
+		if err := runEngine(eng, spec.Name, scheme, opt); err != nil {
+			return nil, err
+		}
+		if rec != nil {
+			t, ferr := rec.Finish(eng.Halted())
+			if ferr == nil && !(t.Truncated() && st.aos.OverheadInstr() > 0) {
+				tr = t
+			}
+		}
+		return st.finish(), nil
 	})
 	if res != nil {
 		res.Disposition = RunDirect
 		res.Wall = time.Since(start)
+		if tr != nil {
+			res.Disposition = RunRecorded
+			emitDisposition(opt, spec, scheme, res, RunRecorded, "", tr)
+		}
 	}
-	return res, err
+	return res, tr, err
 }
 
 // guarded executes one run body under Run's isolation guard: the
@@ -339,25 +385,6 @@ type runState struct {
 	// listener is the composed block listener, nil when neither a
 	// temporal manager nor an interval sampler wants block events.
 	listener func(pc uint64, instrs int)
-}
-
-// run is the unguarded body of Run.
-func run(spec workload.Spec, scheme Scheme, opt Options) (*Result, error) {
-	st, err := newRunState(spec, scheme, opt)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := vm.NewEngine(st.prog, st.mach, st.aos)
-	if err != nil {
-		return nil, fmt.Errorf("experiment %s/%s: %w", spec.Name, scheme, err)
-	}
-	if st.listener != nil {
-		eng.SetBlockListener(st.listener)
-	}
-	if err := runEngine(eng, spec.Name, scheme, opt); err != nil {
-		return nil, err
-	}
-	return st.finish(), nil
 }
 
 // newRunState builds and wires one run's simulation state.

@@ -12,12 +12,12 @@ func recordFor(t *testing.T, name string) *rtrace.Trace {
 	t.Helper()
 	spec := shortSpec(t, name)
 	opt := DefaultOptions()
-	_, tr, err := recordRun(spec, SchemeBaseline, opt)
+	_, tr, err := runDirect(spec, SchemeBaseline, opt, true)
 	if err != nil {
-		t.Fatalf("recordRun %s: %v", name, err)
+		t.Fatalf("record %s: %v", name, err)
 	}
 	if tr == nil {
-		t.Fatalf("recordRun %s: nil trace", name)
+		t.Fatalf("record %s: nil trace", name)
 	}
 	return tr
 }

@@ -1,6 +1,7 @@
-// The recorder: SummaryRecorder folds the engine's event callbacks
-// straight into a sumBuilder, so a recording run ends with the packed
-// summarized op stream (summary.go) that every replay walks.
+// The recorder: SummaryRecorder folds the engine's five vm.Recorder
+// callbacks — method entry, block entry, body, exit and halt — straight
+// into a sumBuilder, so a recording run ends with the packed summarized
+// op stream (summary.go) that every replay walks.
 package rtrace
 
 import (
@@ -53,6 +54,8 @@ type SummaryRecorder struct {
 	events uint64
 	err    error // first validation failure; poisons the recording
 }
+
+var _ vm.Recorder = (*SummaryRecorder)(nil)
 
 // NewSummaryRecorder returns an empty recorder ready to install on an
 // engine running prog. instrHint is unused: the streams grow a
@@ -108,52 +111,18 @@ func (r *SummaryRecorder) RecordBlock(idx int, tlbMask, missMask uint64, ok bool
 	}
 }
 
-// RecordBatch records a retire batch of n instructions (vm.Recorder).
-func (r *SummaryRecorder) RecordBatch(n uint64) {
-	if r.err != nil {
-		return
-	}
-	r.events++
-	r.b.addBatch(n)
-}
-
-// RecordData records one data access and its D-TLB outcome
-// (vm.Recorder).
-func (r *SummaryRecorder) RecordData(wordAddr uint64, write, tlbMiss bool) {
-	if r.err != nil {
-		return
-	}
-	r.events++
-	var w uint64
-	if write {
-		w = 1
-	}
-	r.b.body = append(r.b.body, wordAddr<<1|w)
-	if tlbMiss {
-		r.b.open.dtlb++
-	}
-}
-
-// RecordBranch records a conditional branch's predictor verdict
-// (vm.Recorder).
-func (r *SummaryRecorder) RecordBranch(correct bool) {
-	if r.err != nil {
-		return
-	}
-	r.events++
-	if !correct {
-		r.b.open.brWrong++
-	}
-}
-
-// RecordBody records one fast-path block body in a single call
-// (vm.Recorder): the packed data accesses, the retire batch, and the
-// terminating branch verdict, in stream order.
+// RecordBody records one body (vm.Recorder): its packed data
+// accesses, its retire batch of n instructions, and its terminating
+// branch verdict. Each access, a non-empty batch and a verdict count
+// as one event apiece.
 func (r *SummaryRecorder) RecordBody(data []uint64, n uint64, branch int8) {
 	if r.err != nil {
 		return
 	}
-	r.events += uint64(len(data)) + 1
+	r.events += uint64(len(data))
+	if n > 0 {
+		r.events++
+	}
 	b := &r.b
 	for _, d := range data {
 		// vm.BodyData packing addr<<2|miss<<1|write → body packing

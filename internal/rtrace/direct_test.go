@@ -276,6 +276,36 @@ func TestDirectSummaryOpIdentical(t *testing.T) {
 	}
 }
 
+// TestBaselineModeRecordingOpIdentical: the stepped path reports
+// through the same recorder calls as the batched one, one instruction,
+// access or verdict per call. On compress and jack, complete and
+// truncated, a recording made under vm.ModeBaseline must be
+// op-identical to one made under the default ModeOptimized, with the
+// same truncation flag. (Event counts differ: the stepped path reports
+// one retire batch per instruction.) compress's stepped D-TLB misses
+// are all loads; jack adds store misses.
+func TestBaselineModeRecordingOpIdentical(t *testing.T) {
+	for _, bench := range []string{"compress", "jack"} {
+		for _, budget := range []uint64{0, 2_000_000} {
+			label := bench
+			if budget != 0 {
+				label += "/truncated"
+			}
+			prog, eng, _ := benchEngine(t, bench)
+			optimized := recordDirect(t, prog, eng, budget)
+
+			prog2, eng, _ := benchEngine(t, bench)
+			eng.SetMode(vm.ModeBaseline)
+			stepped := recordDirect(t, prog2, eng, budget)
+
+			if stepped.Truncated() != optimized.Truncated() {
+				t.Errorf("%s: truncated %v, want %v", label, stepped.Truncated(), optimized.Truncated())
+			}
+			checkSameSummary(t, label, optimized.summaryFor(prog), stepped.summaryFor(prog))
+		}
+	}
+}
+
 // TestDirectReplayMatchesByteOracle checks replay against an oracle
 // independent of the recording: a direct run of the program on a fresh
 // engine with no recorder attached. On jess, complete and truncated,

@@ -41,9 +41,9 @@ func fuzzEnv(t *testing.T) Env {
 // zigzag deltas against the previous data address.
 const (
 	cBlock  = 0 // RecordBlock(operand), no fetch misses
-	cBatch  = 1 // RecordBatch(operand)
-	cData   = 2 // RecordData, D-TLB hit; operand = write bit | delta<<1 (15 escapes)
-	cBranch = 3 // RecordBranch(operand bit 0)
+	cBatch  = 1 // RecordBody(nil, operand, BranchNone)
+	cData   = 2 // one-access body, D-TLB hit; operand = write bit | delta<<1 (15 escapes)
+	cBranch = 3 // RecordBody(nil, 0, verdict): correct iff operand bit 0
 	cEnter  = 4 // RecordEnter(operand), no fetch misses
 	cExit   = 5 // RecordExit
 	cHalt   = 6 // RecordHalt
@@ -51,7 +51,7 @@ const (
 
 	extBlockMasks = 0 // RecordBlock(idx, tlbMask, missMask)
 	extEnterMasks = 1 // RecordEnter(id, tlbMask, missMask)
-	extDataTLB    = 2 // RecordData with a D-TLB miss (write, delta)
+	extDataTLB    = 2 // one-access body with a D-TLB miss (write, delta)
 	extEndHalted  = 3 // Finish(true)
 	extEndBudget  = 4 // Finish(false)
 
@@ -61,13 +61,20 @@ const (
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // driveDirect maps any byte string to a vm.Recorder call sequence on a
-// fresh SummaryRecorder and seals it. The sequence ends at an end-call
+// fresh SummaryRecorder and seals it. Retire batches, data accesses and
+// branch verdicts each become one RecordBody call, in the forms the
+// engine's stepped path uses. The sequence ends at an end-call
 // opcode, or — when the input runs out or an operand does not decode —
 // with Finish(!truncated). batch is the saturating sum of the retire
 // batches fed in.
 func driveDirect(data []byte, truncated bool) (tr *Trace, batch uint64, err error) {
 	r := NewSummaryRecorder(fuzzProg, 0)
 	var prevAddr uint64
+	body := make([]uint64, 1)
+	access := func(write, tlbMiss bool) {
+		body[0] = vm.BodyData(prevAddr, write, tlbMiss)
+		r.RecordBody(body, 0, vm.BranchNone)
+	}
 	pos := 0
 	uv := func() (uint64, bool) {
 		v, n := binary.Uvarint(data[pos:])
@@ -78,7 +85,7 @@ func driveDirect(data []byte, truncated bool) (tr *Trace, batch uint64, err erro
 		return v, true
 	}
 	addBatch := func(n uint64) {
-		r.RecordBatch(n)
+		r.RecordBody(nil, n, vm.BranchNone)
 		if batch+n < batch {
 			batch = ^uint64(0)
 		} else {
@@ -113,9 +120,13 @@ func driveDirect(data []byte, truncated bool) (tr *Trace, batch uint64, err erro
 				delta = v
 			}
 			prevAddr = uint64(int64(prevAddr) + unzigzag(delta))
-			r.RecordData(prevAddr, pay&1 != 0, false)
+			access(pay&1 != 0, false)
 		case cBranch:
-			r.RecordBranch(pay&1 != 0)
+			verdict := vm.BranchWrong
+			if pay&1 != 0 {
+				verdict = vm.BranchCorrect
+			}
+			r.RecordBody(nil, 0, verdict)
 		case cBlock:
 			r.RecordBlock(int(pay), 0, 0, true)
 		case cEnter:
@@ -149,7 +160,7 @@ func driveDirect(data []byte, truncated bool) (tr *Trace, batch uint64, err erro
 					return finish(!truncated)
 				}
 				prevAddr = uint64(int64(prevAddr) + unzigzag(delta))
-				r.RecordData(prevAddr, w&1 != 0, true)
+				access(w&1 != 0, true)
 			}
 		}
 	}

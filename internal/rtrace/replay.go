@@ -44,7 +44,10 @@ type rframe struct {
 // overhead, so it stops earlier in program terms than the recorded
 // stream. Truncated traces therefore verify at every method boundary
 // that the machine's instruction count still equals the replayed batch
-// total, and return ErrDiverged on the first overhead charge.
+// total, and return ErrDiverged on the first overhead charge. The
+// converse case — a truncated recording made under such a scheme,
+// which stops early in program terms — passes that check, so the
+// experiment layer never keeps one.
 //
 // A trace replays only against the program it was recorded from (its
 // block geometry is resolved at record time); any other program fails

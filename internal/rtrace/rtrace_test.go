@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"acedo/internal/program"
+	"acedo/internal/vm"
 	"acedo/internal/workload"
 )
 
@@ -26,10 +27,10 @@ func testProg(t *testing.T) *program.Program {
 func TestRecorderCountsAndSeals(t *testing.T) {
 	r := NewSummaryRecorder(testProg(t), 0)
 	r.RecordEnter(0, 1, 1, true) // cold entry: masked fetch walk
-	r.RecordBatch(5)
-	r.RecordData(100, false, true) // D-TLB miss
-	r.RecordData(101, true, false)
-	r.RecordBranch(true)
+	r.RecordBody([]uint64{
+		vm.BodyData(100, false, true), // D-TLB miss
+		vm.BodyData(101, true, false),
+	}, 5, vm.BranchCorrect)
 	r.RecordBlock(1, 0, 0, true)
 	r.RecordExit()
 	r.RecordHalt()
@@ -50,7 +51,7 @@ func TestRecorderCountsAndSeals(t *testing.T) {
 
 func TestTruncatedFlag(t *testing.T) {
 	r := NewSummaryRecorder(testProg(t), 0)
-	r.RecordBatch(1)
+	r.RecordBody(nil, 1, vm.BranchNone)
 	tr, err := r.Finish(false)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +93,7 @@ func TestFinishRejectsMalformed(t *testing.T) {
 	for name, calls := range cases {
 		r := NewSummaryRecorder(prog, 0)
 		calls(r)
-		r.RecordBatch(3) // events after the failure are ignored
+		r.RecordBody(nil, 3, vm.BranchNone) // events after the failure are ignored
 		if _, err := r.Finish(true); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
 		}

@@ -227,7 +227,7 @@ func TestShapeTableOverflow(t *testing.T) {
 		r.RecordEnter(0, 0, 0, true)
 		for i := 1; i <= batches; i++ {
 			r.RecordBlock(1, 0, 0, true)
-			r.RecordBatch(uint64(i))
+			r.RecordBody(nil, uint64(i), vm.BranchNone)
 		}
 		r.RecordExit()
 		r.RecordHalt()
@@ -259,9 +259,11 @@ func TestRunCrossesSegments(t *testing.T) {
 	r.RecordEnter(0, 0, 0, true)
 	for i := 0; i < blocks; i++ {
 		r.RecordBlock(1, 0, 0, true)
-		r.RecordData(uint64(i*37%100_000), i%3 == 0, i%50 == 0)
-		r.RecordBatch(3)
-		r.RecordBranch(i%7 != 0)
+		verdict := vm.BranchCorrect
+		if i%7 == 0 {
+			verdict = vm.BranchWrong
+		}
+		r.RecordBody([]uint64{vm.BodyData(uint64(i*37%100_000), i%3 == 0, i%50 == 0)}, 3, verdict)
 	}
 	r.RecordExit()
 	r.RecordHalt()

@@ -22,7 +22,7 @@ type tierRun struct {
 	snap     machine.Snapshot
 	mem      []int64
 	profiles []MethodProfile
-	stats    Stats
+	batches  uint64 // RecordBody calls retiring more than one instruction
 	err      error
 	halted   bool
 	promos   uint64
@@ -52,12 +52,16 @@ func runTier(t *testing.T, build func() *program.Program, mode ExecMode, params 
 		t.Fatal(err)
 	}
 	eng.SetMode(mode)
+	var rec batchCounter
+	if err := eng.SetRecorder(&rec); err != nil {
+		t.Fatal(err)
+	}
 	runErr := eng.Run(budget)
 	return tierRun{
 		snap:     mach.Snapshot(),
 		mem:      eng.Mem(),
 		profiles: aos.Profiles(),
-		stats:    eng.Stats(),
+		batches:  rec.batches,
 		err:      runErr,
 		halted:   eng.Halted(),
 		promos:   aos.Promotions(),
@@ -65,6 +69,21 @@ func runTier(t *testing.T, build func() *program.Program, mode ExecMode, params 
 		hotInstr: aos.HotspotInstr(),
 		dropped:  aos.DroppedSamples(),
 		dup:      aos.DupSamples(),
+	}
+}
+
+// batchCounter is a Recorder that counts the bodies retiring more
+// than one instruction: only the batched path reports those, so it
+// tells the two modes apart without perturbing either.
+type batchCounter struct{ batches uint64 }
+
+func (c *batchCounter) RecordEnter(program.MethodID, uint64, uint64, bool) {}
+func (c *batchCounter) RecordBlock(int, uint64, uint64, bool)              {}
+func (c *batchCounter) RecordExit()                                        {}
+func (c *batchCounter) RecordHalt()                                        {}
+func (c *batchCounter) RecordBody(_ []uint64, n uint64, _ int8) {
+	if n > 1 {
+		c.batches++
 	}
 }
 
@@ -113,11 +132,11 @@ func TestExecModesArchitecturallyIdentical(t *testing.T) {
 			}
 			const budget = 400_000
 			base := runTier(t, build, ModeBaseline, DefaultParams(), budget, nil)
-			if base.stats.BatchedInstr != 0 {
-				t.Fatalf("baseline mode batched %d instructions", base.stats.BatchedInstr)
+			if base.batches != 0 {
+				t.Fatalf("baseline mode reported %d multi-instruction bodies", base.batches)
 			}
 			opt := runTier(t, build, ModeOptimized, DefaultParams(), budget, nil)
-			if opt.stats.BatchedInstr == 0 {
+			if opt.batches == 0 {
 				t.Fatal("optimized mode never used the batched path")
 			}
 			diffTiers(t, "optimized", base, opt)

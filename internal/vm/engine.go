@@ -53,19 +53,6 @@ type frame struct {
 	regs       [isa.NumRegs]int64
 }
 
-// Stats reports the engine's execution-path mix: how many retired
-// instructions went through the block-batched fast path versus the
-// instruction-at-a-time path.
-type Stats struct {
-	// BatchedInstr counts instructions retired by the fast path.
-	BatchedInstr uint64
-	// SteppedInstr counts instructions retired one at a time.
-	SteppedInstr uint64
-	// Runs counts batches issued by the fast path (at most one per
-	// block entry).
-	Runs uint64
-}
-
 // Engine interprets a sealed program on a machine, firing method
 // boundary events into the AOS. It is the execution service of the
 // dynamic optimization system.
@@ -85,8 +72,6 @@ type Engine struct {
 	// sampling configured pay nothing for the profiler).
 	sampleEvery uint64
 
-	stats Stats
-
 	// blockListener, when set, observes every basic-block entry
 	// (the feed for the BBV accumulator hardware).
 	blockListener func(pc uint64, instrs int)
@@ -103,10 +88,10 @@ type Engine struct {
 	entryTLB, entryMiss uint64
 	entryOK             bool
 
-	// recData buffers the fast path's packed data accesses (BodyData)
-	// between block boundaries so a whole body reaches the recorder
-	// as one RecordBody call. Reused across bodies; only touched when
-	// rec is set.
+	// recData buffers the packed data accesses (BodyData) of the body
+	// the engine reports next, so a whole fast-path body reaches the
+	// recorder as one RecordBody call. Reused across bodies; only
+	// touched when rec is set.
 	recData []uint64
 }
 
@@ -144,12 +129,6 @@ func NewEngine(prog *program.Program, mach *machine.Machine, aos *AOS) (*Engine,
 // SetMode switches the execution mode; the next Run dispatches under
 // it.
 func (e *Engine) SetMode(m ExecMode) { e.mode = m }
-
-// Mode returns the current execution mode.
-func (e *Engine) Mode() ExecMode { return e.mode }
-
-// Stats returns the execution-path counters.
-func (e *Engine) Stats() Stats { return e.stats }
 
 // Halted reports whether the program executed OpHalt.
 func (e *Engine) Halted() bool { return e.halted }
@@ -315,39 +294,30 @@ func (e *Engine) Run(maxInstr uint64) error {
 						}
 					}
 				}
-				e.stats.BatchedInstr += n
-				e.stats.Runs++
-				if fastErr != nil {
-					if e.rec != nil {
-						e.rec.RecordBody(e.recData, n, BranchNone)
+				// The body reaches the recorder after its branch
+				// resolves and before the next block's entry. (A
+				// faulting body ends before any branch: brIdx < 0.)
+				verdict, target := BranchNone, -1
+				if brIdx >= 0 {
+					br := &ops[brIdx]
+					target = int(br.Imm)
+					if br.Op != isa.OpJmp {
+						taken := (f.regs[br.A] != 0) == (br.Op == isa.OpBr)
+						verdict = branchVerdict(e.mach.CondBranch(f.block.PC+uint64(brIdx), taken))
+						if !taken {
+							target = -1
+						}
 					}
+				}
+				if e.rec != nil {
+					e.rec.RecordBody(e.recData, n, verdict)
+				}
+				if fastErr != nil {
 					return fastErr
 				}
 				f.idx = i
-				if brIdx >= 0 {
-					br := &ops[brIdx]
-					switch br.Op {
-					case isa.OpJmp:
-						if e.rec != nil {
-							e.rec.RecordBody(e.recData, n, BranchNone)
-						}
-						e.enterBlock(f, int(br.Imm))
-					default:
-						taken := (f.regs[br.A] != 0) == (br.Op == isa.OpBr)
-						correct := e.mach.CondBranch(f.block.PC+uint64(brIdx), taken)
-						if e.rec != nil {
-							verdict := BranchWrong
-							if correct {
-								verdict = BranchCorrect
-							}
-							e.rec.RecordBody(e.recData, n, verdict)
-						}
-						if taken {
-							e.enterBlock(f, int(br.Imm))
-						}
-					}
-				} else if e.rec != nil {
-					e.rec.RecordBody(e.recData, n, BranchNone)
+				if target >= 0 {
+					e.enterBlock(f, target)
 				}
 				continue
 			}
@@ -355,10 +325,11 @@ func (e *Engine) Run(maxInstr uint64) error {
 		op := &f.block.Ops[f.idx]
 
 		// Stepped path: one instruction at a time — the reference
-		// semantics.
+		// semantics. Under ModeOptimized it runs only calls, returns
+		// and halts.
 		e.mach.Issue(1)
 		if e.rec != nil {
-			e.rec.RecordBatch(1)
+			e.rec.RecordBody(nil, 1, BranchNone)
 		}
 		if e.sampleEvery != 0 {
 			for t := e.aos.sampleDue(e.mach.Instructions()); t > 0; t-- {
@@ -367,7 +338,6 @@ func (e *Engine) Run(maxInstr uint64) error {
 				}
 			}
 		}
-		e.stats.SteppedInstr++
 
 		switch op.Op {
 		case isa.OpNop:
@@ -445,7 +415,8 @@ func (e *Engine) Run(maxInstr uint64) error {
 			}
 			tlbMiss := e.mach.Data(uint64(addr), false)
 			if e.rec != nil {
-				e.rec.RecordData(uint64(addr), false, tlbMiss)
+				e.recData = append(e.recData[:0], BodyData(uint64(addr), false, tlbMiss))
+				e.rec.RecordBody(e.recData, 0, BranchNone)
 			}
 			f.regs[op.A] = e.mem[addr]
 			f.idx++
@@ -456,27 +427,17 @@ func (e *Engine) Run(maxInstr uint64) error {
 			}
 			tlbMiss := e.mach.Data(uint64(addr), true)
 			if e.rec != nil {
-				e.rec.RecordData(uint64(addr), true, tlbMiss)
+				e.recData = append(e.recData[:0], BodyData(uint64(addr), true, tlbMiss))
+				e.rec.RecordBody(e.recData, 0, BranchNone)
 			}
 			e.mem[addr] = f.regs[op.A]
 			f.idx++
 
-		case isa.OpBr:
-			taken := f.regs[op.A] != 0
+		case isa.OpBr, isa.OpBrZ:
+			taken := (f.regs[op.A] != 0) == (op.Op == isa.OpBr)
 			correct := e.mach.CondBranch(f.block.PC+uint64(f.idx), taken)
 			if e.rec != nil {
-				e.rec.RecordBranch(correct)
-			}
-			if taken {
-				e.enterBlock(f, int(op.Imm))
-			} else {
-				f.idx++
-			}
-		case isa.OpBrZ:
-			taken := f.regs[op.A] == 0
-			correct := e.mach.CondBranch(f.block.PC+uint64(f.idx), taken)
-			if e.rec != nil {
-				e.rec.RecordBranch(correct)
+				e.rec.RecordBody(nil, 0, branchVerdict(correct))
 			}
 			if taken {
 				e.enterBlock(f, int(op.Imm))

@@ -9,32 +9,32 @@ import (
 // Recorder observes the engine's architectural event stream during a
 // recording run (record-once / replay-many; see internal/rtrace). The
 // engine reports every event that touches the machine model, in
-// execution order: method entries and intra-method block entries carry
-// the block's I-TLB and L1I per-line miss masks (bit i = line
-// FirstLine+64i missed; ok is false when the block spans more than 64
-// lines and the masks cannot represent it), data accesses carry the
-// D-TLB outcome, conditional branches carry the predictor's verdict,
-// and retire batches carry their length. Those fixed-configuration
-// outcomes are scheme-invariant, so a replayer can re-simulate any
-// adaptation scheme from the stream without re-running the fixed
-// hardware or the register file.
+// execution order, through five calls:
+//
+//   - RecordEnter and RecordBlock: a method entry or an intra-method
+//     block entry, with the block's I-TLB and L1I per-line miss masks
+//     (bit i = line FirstLine+64i missed; ok is false when the block
+//     spans more than 64 lines and the masks cannot represent it);
+//   - RecordBody: a body of straight-line execution — its data
+//     accesses (packed with BodyData, each with its D-TLB outcome),
+//     then a retire batch of n instructions (n may be 0), then the
+//     terminating conditional branch's predictor verdict (BranchNone
+//     when there is none). The batched path reports a whole block body
+//     per call; the stepped path reports each retired instruction as
+//     RecordBody(nil, 1, BranchNone) and its load, store or branch
+//     outcome as a body with n = 0;
+//   - RecordExit and RecordHalt: a method return and an explicit halt.
+//
+// Those fixed-configuration outcomes are scheme-invariant, so a
+// replayer can re-simulate any adaptation scheme from the stream
+// without re-running the fixed hardware or the register file.
 //
 // A recorder must not call back into the engine, the machine, or the
-// AOS.
-//
-// RecordBody is the batched form the fast path uses: one call per
-// block body carrying the body's data accesses (packed with BodyData),
-// its retire total, and the terminating conditional branch's verdict
-// (BranchNone when the body ended without one). It is exactly
-// equivalent to the per-event calls in stream order — data accesses,
-// then the batch, then the branch — and exists so a recorder can
-// process a whole body without per-event interface-call overhead.
+// AOS. The interface is the seam that lets the recorder live in
+// internal/rtrace, which imports this package.
 type Recorder interface {
 	RecordEnter(id program.MethodID, tlbMask, missMask uint64, ok bool)
 	RecordBlock(idx int, tlbMask, missMask uint64, ok bool)
-	RecordBatch(n uint64)
-	RecordData(wordAddr uint64, write, tlbMiss bool)
-	RecordBranch(correct bool)
 	RecordBody(data []uint64, n uint64, branch int8)
 	RecordExit()
 	RecordHalt()
@@ -65,19 +65,24 @@ func BodyData(wordAddr uint64, write, tlbMiss bool) uint64 {
 	return d
 }
 
-// SetRecorder installs (or, with nil, removes) an architectural-stream
-// recorder. Recording does not perturb the simulation: the engine
-// issues the identical machine calls, merely observing their outcomes.
+// branchVerdict is RecordBody's verdict for a predicted conditional
+// branch.
+func branchVerdict(correct bool) int8 {
+	if correct {
+		return BranchCorrect
+	}
+	return BranchWrong
+}
+
+// SetRecorder installs an architectural-stream recorder. Recording
+// does not perturb the simulation: the engine issues the identical
+// machine calls, merely observing their outcomes.
 //
 // It must be called on a fresh engine — immediately after NewEngine,
 // before any Run. The entry method's construction-time push executed
 // before the recorder existed, so SetRecorder reports it with the fetch
 // outcomes NewEngine kept.
 func (e *Engine) SetRecorder(r Recorder) error {
-	if r == nil {
-		e.rec = nil
-		return nil
-	}
 	if e.depth != 1 || e.frames[0].idx != 0 || e.frames[0].block.Index != 0 ||
 		e.mach.Instructions() != 0 {
 		return fmt.Errorf("vm: recorder must be installed on a fresh engine")
