@@ -73,7 +73,8 @@ bench-compare:
 # Differential gate for the record-once/replay-many fast path: the
 # suite's schema-stable snapshot must be byte-identical whether the
 # schemes replay a recorded trace or execute directly, with and
-# without a deterministic fault plan (scripts/replay_check.sh).
+# without a deterministic fault plan, and so must the phase-detector
+# comparison table (scripts/replay_check.sh).
 replay-check:
 	sh scripts/replay_check.sh
 

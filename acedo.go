@@ -147,8 +147,8 @@ type (
 // scale divisor.
 func DefaultBBVParams(scaleDiv uint64) BBVParams { return bbv.DefaultParams(scaleDiv) }
 
-// NewBBVManager constructs the BBV manager. Install its OnBlock method
-// as the engine's block listener.
+// NewBBVManager constructs the BBV manager. Install it as the engine's
+// block listener.
 func NewBBVManager(p BBVParams, m *Machine) (*BBVManager, error) { return bbv.NewManager(p, m) }
 
 // PhaseDetector is the pluggable phase-detection half of a temporal

@@ -401,6 +401,33 @@ func BenchmarkReplay(b *testing.B) {
 	b.ReportMetric(float64(res.Instr)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
+// BenchmarkReplayBBV measures a listener replay: the jess trace
+// recorded once outside the timer, then replayed under the BBV scheme,
+// whose block listener folds every run that ends below its next
+// interval bound.
+func BenchmarkReplayBBV(b *testing.B) {
+	spec, _ := acedo.BenchmarkByName("jess")
+	spec = spec.WithMainLoops(benchLoops)
+	opt := acedo.DefaultOptions()
+	_, tr, err := experiment.RecordedBaseline(spec, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if tr == nil {
+		b.Fatal("baseline recording not retained")
+	}
+	b.ResetTimer()
+	var instr uint64
+	for i := 0; i < b.N; i++ {
+		r, err := experiment.ReplayScheme(spec, acedo.SchemeBBV, opt, tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instr += r.Instr
+	}
+	b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
 // BenchmarkReplayThreeCU measures the replay a configuration search
 // evaluates per candidate: jess recorded once outside the timer, then
 // replayed under the hotspot scheme with the issue-queue unit enabled,

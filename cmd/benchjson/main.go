@@ -22,7 +22,8 @@
 // tightens) the threshold for one benchmark, for known-noisy
 // wall-clock-dominated suites. A benchmark whose code was deleted
 // (the retired list) prints "retired" instead of failing as missing,
-// so the committed records never need rewriting.
+// so the committed records never need rewriting. A benchmark no OLD
+// record lists prints "new" and has nothing to be gated against.
 package main
 
 import (
@@ -389,6 +390,16 @@ func compareRecords(w io.Writer, olds []*Record, new_ *Record, metric string, th
 		}
 		fmt.Fprintf(w, "%-28s %11.2f %3s %11.2f %3s %+8.1f%%%s\n",
 			name, ov, unit, nv, unit, delta, verdict)
+	}
+	var added []string
+	for name := range newBy {
+		if oldBy[name] == nil {
+			added = append(added, name)
+		}
+	}
+	sort.Strings(added)
+	for _, name := range added {
+		fmt.Fprintf(w, "%-28s %15s %15s %9s\n", name, "-", "new", "-")
 	}
 	if !pass {
 		fmt.Fprintf(w, "FAIL: regression beyond %.0f%% threshold\n", threshold)

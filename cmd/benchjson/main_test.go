@@ -130,6 +130,28 @@ func TestCompareMissingBenchmarkFails(t *testing.T) {
 	}
 }
 
+// TestCompareNewBenchmarkPasses: a benchmark that no old record lists
+// prints "new" and does not fail the gate.
+func TestCompareNewBenchmarkPasses(t *testing.T) {
+	old := record([3]any{"BenchmarkEngine", 350e6, 200.0})
+	new_ := record(
+		[3]any{"BenchmarkEngine", 350e6, 200.0},
+		[3]any{"BenchmarkReplayBBV", 25e6, 400.0},
+	)
+	var b strings.Builder
+	if !compareRecords(&b, []*Record{old}, new_, "Minstr/s", 15, nil) {
+		t.Errorf("new benchmark failed the gate:\n%s", b.String())
+	}
+	reported := false
+	for _, line := range strings.Split(b.String(), "\n") {
+		f := strings.Fields(line)
+		reported = reported || len(f) == 4 && f[0] == "BenchmarkReplayBBV" && f[2] == "new"
+	}
+	if !reported {
+		t.Errorf("new benchmark not reported as new:\n%s", b.String())
+	}
+}
+
 // TestCompareRetiredBenchmarkPasses: a benchmark on the retired list
 // that the new record lacks prints "retired" and does not fail the
 // gate, while an unretired missing benchmark in the same comparison

@@ -156,8 +156,9 @@ const (
 // detector here and the working-set-signature detector in
 // internal/wss.
 type Detector interface {
-	// Accumulate observes one executed basic block.
-	Accumulate(pc uint64, instrs int)
+	// Accumulate observes n executions of one basic block; one call
+	// must equal n calls with n = 1.
+	Accumulate(pc uint64, instrs int, n uint64)
 	// Boundary classifies the finished interval into a phase ID
 	// (dense, starting at 0; a new ID grows the phase table) and
 	// resets the accumulator for the next interval.
@@ -223,7 +224,7 @@ type ManagerStats struct {
 }
 
 // NewManager constructs the BBV manager bound to a machine. Install
-// its OnBlock method as the engine's block listener.
+// it as the engine's block listener.
 func NewManager(params Params, mach *machine.Machine) (*Manager, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -331,13 +332,24 @@ func (m *Manager) BestConfigOf(ph *Phase) []int {
 func (m *Manager) Detector() Detector { return m.det }
 
 // OnBlock feeds the detector's accumulator hardware and checks the
-// interval timer. Install it as the engine's block listener.
+// interval timer. The manager is a vm.BlockListener: install it as the
+// engine's block listener.
 func (m *Manager) OnBlock(pc uint64, instrs int) {
-	m.det.Accumulate(pc, instrs)
+	m.det.Accumulate(pc, instrs, 1)
 	if m.mach.Instructions() >= m.nextBound {
 		m.boundary()
 	}
 }
+
+// Accumulate feeds n entries of one block below Due to the detector
+// (vm.BlockListener).
+func (m *Manager) Accumulate(pc uint64, instrs int, n uint64) {
+	m.det.Accumulate(pc, instrs, n)
+}
+
+// Due is the interval timer's next bound: a block entry before it only
+// accumulates (vm.BlockListener).
+func (m *Manager) Due() uint64 { return m.nextBound }
 
 // boundary closes the finished interval: classify it, record any
 // tuning measurement, update phase-run bookkeeping, and configure the

@@ -167,7 +167,7 @@ func runBBV(t *testing.T, prog *program.Program, params Params) (*Manager, *mach
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetBlockListener(mgr.OnBlock)
+	eng.SetBlockListener(mgr)
 	if err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +261,65 @@ func TestAccumulatorSaturates(t *testing.T) {
 	p.BucketBits = 4 // max 15
 	d := NewBBVDetector(p)
 	for i := 0; i < 10; i++ {
-		d.Accumulate(0, 10)
+		d.Accumulate(0, 10, 1)
 	}
 	if d.acc[0] != 15 {
 		t.Errorf("bucket = %d, want saturation at 15", d.acc[0])
+	}
+}
+
+// TestAccumulateRepeatEqualsUnitCalls: one Accumulate(pc, instrs, n)
+// must leave the accumulator exactly as n calls with n = 1 do — from
+// empty and part-filled buckets, at the 24-bit bucket maximum and at
+// 32 bits, with instrs·n products that overflow 32 bits (and one that
+// overflows 64), and with n = 0.
+func TestAccumulateRepeatEqualsUnitCalls(t *testing.T) {
+	type tc struct {
+		bits          uint
+		start, instrs int
+		n             uint64
+	}
+	cases := []tc{
+		{24, 0, 7, 0},
+		{24, 0, 7, 1},
+		{24, 123, 9, 1000},
+		{24, 1<<24 - 10, 3, 3},     // lands exactly on the maximum
+		{24, 1<<24 - 10, 3, 4},     // one past it
+		{24, 0, 1 << 20, 1 << 13},  // 2^33: overflows 32 bits
+		{32, 0, 1 << 20, 1 << 13},  // ... at a 32-bit bucket too
+		{32, 1 << 31, 1 << 16, 40}, // a 32-bit bucket crossing 2^32
+		{4, 5, 1, 10},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		cases = append(cases, tc{
+			bits:   []uint{4, 24, 32}[rng.Intn(3)],
+			start:  rng.Intn(1 << 24),
+			instrs: rng.Intn(1 << 12),
+			n:      uint64(rng.Intn(5000)),
+		})
+	}
+	for _, c := range cases {
+		p := DefaultParams(10)
+		p.BucketBits = c.bits
+		bulk, unit := NewBBVDetector(p), NewBBVDetector(p)
+		bulk.Accumulate(4, c.start, 1)
+		unit.Accumulate(4, c.start, 1)
+		bulk.Accumulate(4, c.instrs, c.n)
+		for k := uint64(0); k < c.n; k++ {
+			unit.Accumulate(4, c.instrs, 1)
+		}
+		if bulk.acc[1] != unit.acc[1] {
+			t.Errorf("%+v: repeat count gives %d, unit calls %d", c, bulk.acc[1], unit.acc[1])
+		}
+	}
+
+	// An instrs·n product past 64 bits saturates, like the unit calls
+	// would on their first step.
+	d := NewBBVDetector(DefaultParams(10))
+	d.Accumulate(0, math.MaxInt, 1<<30)
+	if d.acc[0] != 1<<24-1 {
+		t.Errorf("MaxInt·2^30 charge: bucket %d, want saturation at %d", d.acc[0], 1<<24-1)
 	}
 }
 
@@ -272,17 +327,17 @@ func TestBBVDetectorClassifies(t *testing.T) {
 	p := DefaultParams(10)
 	d := NewBBVDetector(p)
 	// Interval A: all weight in bucket 0.
-	d.Accumulate(0, 100)
+	d.Accumulate(0, 100, 1)
 	if got := d.Boundary(); got != 0 {
 		t.Fatalf("first interval phase = %d, want 0", got)
 	}
 	// Interval B: all weight in a different bucket: new phase.
-	d.Accumulate(16<<2, 100)
+	d.Accumulate(16<<2, 100, 1)
 	if got := d.Boundary(); got != 1 {
 		t.Fatalf("distinct interval phase = %d, want 1", got)
 	}
 	// Interval A again: recurring phase 0.
-	d.Accumulate(0, 100)
+	d.Accumulate(0, 100, 1)
 	if got := d.Boundary(); got != 0 {
 		t.Fatalf("recurring interval phase = %d, want 0", got)
 	}
@@ -299,13 +354,13 @@ func TestBBVDetectorClassifies(t *testing.T) {
 // phase (which keeps its signature) allocates.
 func TestBoundaryMatchAllocatesNothing(t *testing.T) {
 	d := NewBBVDetector(DefaultParams(10))
-	d.Accumulate(0, 100)
+	d.Accumulate(0, 100, 1)
 	d.Boundary()
-	d.Accumulate(16<<2, 100)
+	d.Accumulate(16<<2, 100, 1)
 	d.Boundary()
 	allocs := testing.AllocsPerRun(100, func() {
-		d.Accumulate(0, 60)
-		d.Accumulate(32<<2, 40) // bucket 0 again: the PC bits wrap
+		d.Accumulate(0, 60, 1)
+		d.Accumulate(32<<2, 40, 1) // bucket 0 again: the PC bits wrap
 		if got := d.Boundary(); got != 0 {
 			t.Fatalf("phase %d, want 0", got)
 		}

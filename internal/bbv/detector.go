@@ -1,6 +1,7 @@
 package bbv
 
 import (
+	"math/bits"
 	"slices"
 
 	"acedo/internal/fault"
@@ -50,12 +51,15 @@ func (d *BBVDetector) Name() string { return "bbv" }
 // signature-corruption point.
 func (d *BBVDetector) SetFaults(inj *fault.Injector) { d.faults = inj }
 
-// Accumulate charges the executed block to a bucket selected by its
-// PC; counters saturate at the configured width.
-func (d *BBVDetector) Accumulate(pc uint64, instrs int) {
+// Accumulate charges n executions of the block to a bucket selected
+// by its PC; counters saturate at the configured width. A saturating
+// add of non-negative values does not depend on how they are grouped,
+// so one call with n equals n calls with 1.
+func (d *BBVDetector) Accumulate(pc uint64, instrs int, n uint64) {
 	i := (pc >> 2) & uint64(d.buckets-1)
-	if c := d.acc[i] + uint32(instrs); c <= d.bucketMax {
-		d.acc[i] = c
+	hi, add := bits.Mul64(uint64(instrs), n)
+	if c := uint64(d.acc[i]) + add; hi == 0 && add <= uint64(d.bucketMax) && c <= uint64(d.bucketMax) {
+		d.acc[i] = uint32(c)
 	} else {
 		d.acc[i] = d.bucketMax
 	}

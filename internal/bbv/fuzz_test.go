@@ -1,6 +1,7 @@
 package bbv
 
 import (
+	"slices"
 	"testing"
 
 	"acedo/internal/fault"
@@ -12,33 +13,49 @@ import (
 // corruption — and checks the invariants the phase managers rely on:
 // classification always returns a valid phase id, stored signatures
 // stay normalized and finite, the accumulator is cleared after every
-// boundary, and an empty interval classifies consistently.
+// boundary, and an empty interval classifies consistently. A twin
+// detector takes every repeat-count accumulation as that many unit
+// calls, and must hold the same accumulator and classify every
+// interval the same.
 func FuzzDetector(f *testing.F) {
 	f.Add(uint64(0), []byte{1, 2, 3, 0, 4, 5, 6, 0})
 	f.Add(uint64(7), []byte{0, 0, 0, 0xff, 0xff, 0xff})
 	f.Add(uint64(42), []byte{9, 200, 1, 9, 200, 1, 0, 9, 1, 1})
+	f.Add(uint64(3), []byte{5, 255, 0xff, 5, 255, 0xff, 6, 1, 0x7f, 0, 0, 0, 5, 9, 0x03}) // repeats of 63, 31 and 0
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
-		d := NewBBVDetector(DefaultParams(10))
-		inj, err := fault.New(&fault.Plan{Seed: int64(seed), Rules: []fault.Rule{
-			{Point: fault.PointBBVSignature, Kind: fault.KindBitFlip, Every: 2},
-		}}, "fuzz", "bbv")
-		if err != nil {
-			t.Fatal(err)
+		newDetector := func() *BBVDetector {
+			d := NewBBVDetector(DefaultParams(10))
+			inj, err := fault.New(&fault.Plan{Seed: int64(seed), Rules: []fault.Rule{
+				{Point: fault.PointBBVSignature, Kind: fault.KindBitFlip, Every: 2},
+			}}, "fuzz", "bbv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.SetFaults(inj)
+			return d
 		}
-		d.SetFaults(inj)
+		d, unit := newDetector(), newDetector()
 
 		boundaries := 0
 		for len(ops) >= 3 {
 			pc, instrs, op := uint64(ops[0]), int(ops[1]), ops[2]
 			ops = ops[3:]
 			if op%4 == 0 {
-				checkBoundary(t, d, boundaries)
+				checkTwins(t, d, unit, boundaries)
 				boundaries++
 				continue
 			}
-			d.Accumulate(pc<<2|uint64(op)<<10, instrs)
+			pc = pc<<2 | uint64(op)<<10
+			n := uint64(1)
+			if op%4 == 3 {
+				n = uint64(op >> 2)
+			}
+			d.Accumulate(pc, instrs, n)
+			for i := uint64(0); i < n; i++ {
+				unit.Accumulate(pc, instrs, 1)
+			}
 		}
-		checkBoundary(t, d, boundaries)
+		checkTwins(t, d, unit, boundaries)
 
 		// The accumulator must be clean after a boundary: with
 		// corruption disarmed, two empty intervals in a row classify
@@ -52,9 +69,22 @@ func FuzzDetector(f *testing.F) {
 	})
 }
 
-// checkBoundary classifies the current interval and asserts the
-// detector's post-boundary invariants.
-func checkBoundary(t *testing.T, d *BBVDetector, soFar int) {
+// checkTwins requires the twin detectors to hold the same accumulator
+// and to classify the current interval alike, and checks d's
+// post-boundary invariants.
+func checkTwins(t *testing.T, d, unit *BBVDetector, soFar int) {
+	t.Helper()
+	if !slices.Equal(d.acc, unit.acc) {
+		t.Fatalf("interval %d: repeat-count accumulator %v, unit calls %v", soFar, d.acc, unit.acc)
+	}
+	if id, want := checkBoundary(t, d, soFar), unit.Boundary(); id != want {
+		t.Fatalf("interval %d: phase %d, unit-call twin %d", soFar, id, want)
+	}
+}
+
+// checkBoundary classifies the current interval, asserts the
+// detector's post-boundary invariants, and returns the phase.
+func checkBoundary(t *testing.T, d *BBVDetector, soFar int) int {
 	t.Helper()
 	id := d.Boundary()
 	if id < 0 || id > soFar {
@@ -79,4 +109,5 @@ func checkBoundary(t *testing.T, d *BBVDetector, soFar int) {
 			t.Fatalf("accumulator bucket %d = %d after boundary, want 0", i, c)
 		}
 	}
+	return id
 }

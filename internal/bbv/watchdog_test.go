@@ -12,9 +12,9 @@ import (
 // signature table produces.
 type flipDetector struct{ n int }
 
-func (d *flipDetector) Accumulate(pc uint64, instrs int) {}
-func (d *flipDetector) Boundary() int                    { d.n++; return d.n % 2 }
-func (d *flipDetector) Name() string                     { return "flip" }
+func (d *flipDetector) Accumulate(pc uint64, instrs int, n uint64) {}
+func (d *flipDetector) Boundary() int                              { d.n++; return d.n % 2 }
+func (d *flipDetector) Name() string                               { return "flip" }
 
 // driveIntervals advances the machine one sampling interval at a time
 // and fires the manager's boundary logic.
@@ -127,6 +127,6 @@ func TestChaosStableRunsNeverTrip(t *testing.T) {
 // stableDetector alternates phases in runs of runLen intervals.
 type stableDetector struct{ n, runLen int }
 
-func (d *stableDetector) Accumulate(pc uint64, instrs int) {}
-func (d *stableDetector) Boundary() int                    { d.n++; return (d.n / d.runLen) % 2 }
-func (d *stableDetector) Name() string                     { return "stable" }
+func (d *stableDetector) Accumulate(pc uint64, instrs int, n uint64) {}
+func (d *stableDetector) Boundary() int                              { d.n++; return (d.n / d.runLen) % 2 }
+func (d *stableDetector) Name() string                               { return "stable" }

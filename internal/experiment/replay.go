@@ -118,10 +118,10 @@ func CurrentTraceCacheStats() TraceCacheStats {
 
 // RunSchemes runs one benchmark under several schemes with the
 // record-once / replay-many fast path (see Compare) and returns the
-// results in scheme order. With replay enabled (the default), the
-// first scheme's run doubles as the recording run unless the
-// process-wide cache already holds the benchmark's trace, and the
-// remaining schemes replay in parallel, bounded by
+// results in scheme order. With replay enabled (the default), one
+// scheme's run doubles as the recording run unless the process-wide
+// cache already holds the benchmark's trace (recordingScheme picks
+// it), and the remaining schemes replay in parallel, bounded by
 // Options.Parallelism. A scheme whose replay diverges (possible only
 // for truncated traces under overhead-charging schemes) falls back to
 // direct execution, and so does every scheme when no trace could be
@@ -145,23 +145,26 @@ func RunSchemes(spec workload.Spec, opt Options, schemes []Scheme) ([]*Result, e
 		return results, nil
 	}
 
-	first, tr, err := traceFor(spec, schemes[0], opt)
-	if err != nil {
-		return nil, err
-	}
-	results[0] = first
-	next := 0
-	if first != nil {
-		next = 1
+	errs := make([]error, len(schemes))
+	k := recordingScheme(schemes, opt)
+	var tr *rtrace.Trace
+	results[k], tr, errs[k] = traceFor(spec, schemes[k], opt)
+	n := len(schemes)
+	if errs[k] != nil {
+		// Only the schemes before a failed recording can still fail
+		// first in scheme order.
+		n = k
 	}
 	par := opt.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	sem := make(chan struct{}, max(1, par))
-	errs := make([]error, len(schemes))
 	var wg sync.WaitGroup
-	for i := next; i < len(schemes); i++ {
+	for i := 0; i < n; i++ {
+		if i == k && results[k] != nil {
+			continue
+		}
 		sem <- struct{}{}
 		wg.Add(1)
 		go func(i int) {
@@ -177,6 +180,24 @@ func RunSchemes(spec workload.Spec, opt Options, schemes []Scheme) ([]*Result, e
 		}
 	}
 	return results, nil
+}
+
+// recordingScheme returns the index of the scheme whose direct run
+// records the benchmark's trace: the first, unless an instruction
+// budget is set and the first charges instrumentation overhead. Such a
+// run's truncated recording stops early in program terms and is never
+// kept (runDirect), so the list's first overhead-free scheme records
+// instead, and the overhead-charging ones replay and fall back as
+// their divergence check demands.
+func recordingScheme(schemes []Scheme, opt Options) int {
+	if opt.MaxInstr > 0 {
+		for i, s := range schemes {
+			if s != SchemeHotspot {
+				return i
+			}
+		}
+	}
+	return 0
 }
 
 // traceFor returns one benchmark's trace: the process-wide cache's

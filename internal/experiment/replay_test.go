@@ -93,13 +93,15 @@ func TestReplayMatchesDirectTruncated(t *testing.T) {
 	}
 }
 
-// TestTruncatedOverheadRecordingNotCached: RunSchemes records with
-// its first scheme, and the trace cache key ignores the scheme. A
-// budget-stopped hotspot run counts its instrumentation overhead
-// against the budget, but the recorder never sees that overhead, so
-// its stream stops early in program terms. It must not become the
-// benchmark's trace: the baseline after it in the list, and a later
-// Compare's baseline, must equal direct execution.
+// TestTruncatedOverheadRecordingNotCached: the trace cache key ignores
+// the scheme. A budget-stopped hotspot run counts its instrumentation
+// overhead against the budget, but a recorder never sees that
+// overhead, so its stream would stop early in program terms. Under a
+// budget, RunSchemes therefore records with the list's first
+// overhead-free scheme: with [hotspot, baseline] the baseline run
+// records and is cached, the hotspot replay diverges and falls back,
+// and both, as well as a later Compare's baseline, must equal direct
+// execution.
 func TestTruncatedOverheadRecordingNotCached(t *testing.T) {
 	spec, ok := workload.ByName("jess")
 	if !ok {
@@ -117,16 +119,25 @@ func TestTruncatedOverheadRecordingNotCached(t *testing.T) {
 	if rs[0].AOS.OverheadInstr == 0 {
 		t.Fatal("hotspot run charged no overhead; test is vacuous")
 	}
+	hot, err := Run(spec, SchemeHotspot, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSim(rs[0], hot) || rs[0].Disposition != RunFallback {
+		t.Errorf("hotspot (%s): %d instr %d cycles, direct %d instr %d cycles",
+			rs[0].Disposition, rs[0].Instr, rs[0].Cycles, hot.Instr, hot.Cycles)
+	}
 	direct, err := Run(spec, SchemeBaseline, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameSim(rs[1], direct) {
-		t.Errorf("baseline after a hotspot recording: %d instr %d cycles, direct %d instr %d cycles",
+		t.Errorf("baseline after a hotspot run: %d instr %d cycles, direct %d instr %d cycles",
 			rs[1].Instr, rs[1].Cycles, direct.Instr, direct.Cycles)
 	}
-	if st := CurrentTraceCacheStats(); st.Entries != 0 {
-		t.Errorf("trace cache holds %d traces after a truncated overhead-charging recording, want 0", st.Entries)
+	if st := CurrentTraceCacheStats(); st.Entries != 1 || rs[1].Disposition != RunRecorded {
+		t.Errorf("trace cache holds %d traces, baseline run %s; want 1, recorded by the baseline run",
+			st.Entries, rs[1].Disposition)
 	}
 	cmp, err := Compare(spec, opt)
 	if err != nil {

@@ -384,7 +384,7 @@ type runState struct {
 	sampler *telemetry.Sampler
 	// listener is the composed block listener, nil when neither a
 	// temporal manager nor an interval sampler wants block events.
-	listener func(pc uint64, instrs int)
+	listener vm.BlockListener
 }
 
 // newRunState builds and wires one run's simulation state.
@@ -460,9 +460,9 @@ func newRunState(spec workload.Spec, scheme Scheme, opt Options) (*runState, err
 
 	// Block listeners: the temporal manager's accumulator and the
 	// interval sampler share the engine's single listener slot.
-	var listeners []func(pc uint64, instrs int)
+	var listeners []vm.BlockListener
 	if bbvMgr != nil {
-		listeners = append(listeners, bbvMgr.OnBlock)
+		listeners = append(listeners, bbvMgr)
 	}
 	var sampler *telemetry.Sampler
 	if sink != nil {
@@ -476,7 +476,7 @@ func newRunState(spec workload.Spec, scheme Scheme, opt Options) (*runState, err
 		if sampler, err = telemetry.NewSampler(sink, mach, every); err != nil {
 			return nil, fmt.Errorf("experiment %s/%s: %w", spec.Name, scheme, err)
 		}
-		listeners = append(listeners, sampler.OnBlock)
+		listeners = append(listeners, sampler)
 	}
 	st := &runState{
 		spec: spec, scheme: scheme, opt: opt,
@@ -487,14 +487,27 @@ func newRunState(spec workload.Spec, scheme Scheme, opt Options) (*runState, err
 	case 1:
 		st.listener = listeners[0]
 	case 2:
-		l0, l1 := listeners[0], listeners[1]
-		st.listener = func(pc uint64, instrs int) {
-			l0(pc, instrs)
-			l1(pc, instrs)
-		}
+		st.listener = listenerPair{listeners[0], listeners[1]}
 	}
 	return st, nil
 }
+
+// listenerPair chains two block listeners in one slot: each sees every
+// entry in order, and an entry only accumulates while it is below both
+// listeners' Due.
+type listenerPair [2]vm.BlockListener
+
+func (p listenerPair) OnBlock(pc uint64, instrs int) {
+	p[0].OnBlock(pc, instrs)
+	p[1].OnBlock(pc, instrs)
+}
+
+func (p listenerPair) Accumulate(pc uint64, instrs int, n uint64) {
+	p[0].Accumulate(pc, instrs, n)
+	p[1].Accumulate(pc, instrs, n)
+}
+
+func (p listenerPair) Due() uint64 { return min(p[0].Due(), p[1].Due()) }
 
 // finish settles the telemetry sampler, reduces the machine and DO
 // database into the run's Result, and releases the machine's cache

@@ -115,14 +115,107 @@ func runStraddlesSegment(s *summary) bool {
 
 // blockLog folds every block-listener call into an order-sensitive
 // hash, so two runs fired the listener identically exactly when their
-// counts and hashes match.
+// counts and hashes match. Its Due is 0, so a replay calls OnBlock on
+// every entry, in order: the exact walk.
 type blockLog struct {
 	n, h uint64
 }
 
-func (l *blockLog) listen(pc uint64, instrs int) {
+func (l *blockLog) OnBlock(pc uint64, instrs int) {
 	l.n++
 	l.h = (l.h^pc)*1099511628211 ^ uint64(instrs)
+}
+
+func (l *blockLog) Accumulate(pc uint64, instrs int, n uint64) {
+	for ; n > 0; n-- {
+		l.OnBlock(pc, instrs)
+	}
+}
+
+func (l *blockLog) Due() uint64 { return 0 }
+
+// probe is a folding block listener shaped like an interval detector:
+// an entry adds an order-free weight to sum, and the first entry at or
+// past next also logs sum and the instruction count into an
+// order-sensitive hash, clears sum and sets next every instructions
+// on. Its Due is next, so replays fold the entries below it; with
+// exact set it reports 0 instead, and replays walk every run op by op.
+type probe struct {
+	mach        *machine.Machine
+	every, next uint64
+	exact       bool
+	sum         uint64 // weight of the entries since the last crossing
+	n, h        uint64 // crossings, and their hash
+}
+
+func newProbe(mach *machine.Machine, every uint64, exact bool) *probe {
+	return &probe{mach: mach, every: every, next: mach.Instructions() + every, exact: exact}
+}
+
+func (p *probe) OnBlock(pc uint64, instrs int) {
+	p.Accumulate(pc, instrs, 1)
+	if now := p.mach.Instructions(); now >= p.next {
+		p.n++
+		p.h = (p.h ^ p.sum ^ now<<32) * 1099511628211
+		p.sum = 0
+		p.next = now + p.every
+	}
+}
+
+func (p *probe) Accumulate(pc uint64, instrs int, n uint64) {
+	p.sum += n * (pc*0x9E3779B97F4A7C15 ^ uint64(instrs))
+}
+
+func (p *probe) Due() uint64 {
+	if p.exact {
+		return 0
+	}
+	return p.next
+}
+
+// same reports whether two probes saw the same crossings and hold the
+// same residual sum.
+func (p *probe) same(q *probe) bool {
+	return p.n == q.n && p.h == q.h && p.sum == q.sum && p.next == q.next
+}
+
+// tee installs two listeners in the engine's one slot.
+type tee [2]vm.BlockListener
+
+func (t tee) OnBlock(pc uint64, instrs int) {
+	t[0].OnBlock(pc, instrs)
+	t[1].OnBlock(pc, instrs)
+}
+
+func (t tee) Accumulate(pc uint64, instrs int, n uint64) {
+	t[0].Accumulate(pc, instrs, n)
+	t[1].Accumulate(pc, instrs, n)
+}
+
+func (t tee) Due() uint64 { return min(t[0].Due(), t[1].Due()) }
+
+// probeEvery is the probes' interval: short enough that a suite trace
+// crosses it thousands of times, in runs of every length.
+const probeEvery = 9_973
+
+// checkProbes replays tr with a folding probe and with an exact one,
+// and fails unless each leaves the machine as want and saw exactly the
+// direct run's probe.
+func checkProbes(t *testing.T, label string, prog *program.Program, tr *Trace, want map[string]any, direct *probe) {
+	t.Helper()
+	for _, exact := range []bool{false, true} {
+		env := freshEnv(t, prog)
+		p := newProbe(env.Mach, probeEvery, exact)
+		env.BlockListener = p
+		if err := tr.Replay(env); err != nil {
+			t.Fatalf("%s: probe replay (exact %v): %v", label, exact, err)
+		}
+		checkSameState(t, label+"/probe", want, machineState(env.Mach))
+		if direct.n == 0 || !p.same(direct) {
+			t.Errorf("%s: probe (exact %v) crossed %d times (hash %x, sum %x), direct %d (hash %x, sum %x)",
+				label, exact, p.n, p.h, p.sum, direct.n, direct.h, direct.sum)
+		}
+	}
 }
 
 // TestReplayMatchesRecording is the replay engine's differential gate,
@@ -142,7 +235,8 @@ func TestReplayMatchesRecording(t *testing.T) {
 			}
 			prog, eng, mach := benchEngine(t, spec.Name)
 			var direct blockLog
-			eng.SetBlockListener(direct.listen)
+			directProbe := newProbe(mach, probeEvery, false)
+			eng.SetBlockListener(tee{&direct, directProbe})
 			tr := recordDirect(t, prog, eng, budget)
 			if tr.Truncated() != (budget != 0) {
 				t.Errorf("%s: truncated = %v", label, tr.Truncated())
@@ -166,7 +260,7 @@ func TestReplayMatchesRecording(t *testing.T) {
 
 			var replayed blockLog
 			listened := freshEnv(t, prog)
-			listened.BlockListener = replayed.listen
+			listened.BlockListener = &replayed
 			if err := tr.Replay(listened); err != nil {
 				t.Fatalf("%s: listener replay: %v", label, err)
 			}
@@ -175,6 +269,7 @@ func TestReplayMatchesRecording(t *testing.T) {
 				t.Errorf("%s: listener fired %d times (hash %x), recording fired %d (hash %x)",
 					label, replayed.n, replayed.h, direct.n, direct.h)
 			}
+			checkProbes(t, label, prog, tr, want, directProbe)
 		}
 	}
 }
@@ -248,7 +343,7 @@ func TestDirectSummaryOpIdentical(t *testing.T) {
 
 			prog2, eng, _ := benchEngine(t, spec.Name)
 			var log blockLog
-			eng.SetBlockListener(log.listen)
+			eng.SetBlockListener(&log)
 			rec := NewSummaryRecorder(prog2, mach.Instructions())
 			if err := eng.SetRecorder(rec); err != nil {
 				t.Fatal(err)
@@ -326,7 +421,8 @@ func TestDirectReplayMatchesByteOracle(t *testing.T) {
 
 			_, eng, mach := benchEngine(t, "jess")
 			var direct blockLog
-			eng.SetBlockListener(direct.listen)
+			directProbe := newProbe(mach, probeEvery, false)
+			eng.SetBlockListener(tee{&direct, directProbe})
 			if err := eng.Run(tc.budget); err != nil && err != vm.ErrBudget {
 				t.Fatal(err)
 			}
@@ -343,7 +439,7 @@ func TestDirectReplayMatchesByteOracle(t *testing.T) {
 
 			var replayed blockLog
 			listened := freshEnv(t, prog)
-			listened.BlockListener = replayed.listen
+			listened.BlockListener = &replayed
 			if err := tr.Replay(listened); err != nil {
 				t.Fatalf("listener replay: %v", err)
 			}
@@ -352,6 +448,7 @@ func TestDirectReplayMatchesByteOracle(t *testing.T) {
 				t.Errorf("listener fired %d times (hash %x), oracle fired %d (hash %x)",
 					replayed.n, replayed.h, direct.n, direct.h)
 			}
+			checkProbes(t, tc.name, prog, tr, want, directProbe)
 		})
 	}
 }

@@ -170,9 +170,9 @@ func driveDirect(data []byte, truncated bool) (tr *Trace, batch uint64, err erro
 // FuzzRecorderCalls drives the recorder with arbitrary vm.Recorder call
 // sequences — including ones no engine produces — and replays whatever
 // it seals. The contract under hostile input: never panic; Finish and
-// Replay fail only with ErrMalformed or ErrDiverged; and the fused and
+// Replay fail only with ErrMalformed or ErrDiverged; the fused and
 // listener replays accept the same traces and leave bit-identical
-// machines.
+// machines; and a folding listener sees what the exact walk shows it.
 func FuzzRecorderCalls(f *testing.F) {
 	// Seeds: an empty sequence, lone end calls, a tiny valid sequence, a
 	// truncated one, escaped operands, masked entries, garbage, and bodies
@@ -211,7 +211,7 @@ func FuzzRecorderCalls(f *testing.F) {
 		okErr("fused", errFused)
 
 		listened := fuzzEnv(t)
-		listened.BlockListener = func(uint64, int) {}
+		listened.BlockListener = &blockLog{}
 		errListened := tr.Replay(listened)
 		okErr("listener", errListened)
 
@@ -222,5 +222,21 @@ func FuzzRecorderCalls(f *testing.F) {
 			return
 		}
 		checkSameState(t, "listener-vs-fused", machineState(fused.Mach), machineState(listened.Mach))
+
+		// A folding listener must see what the exact walk shows it.
+		exact, folded := fuzzEnv(t), fuzzEnv(t)
+		want, got := newProbe(exact.Mach, 5, true), newProbe(folded.Mach, 5, false)
+		exact.BlockListener, folded.BlockListener = want, got
+		if err := tr.Replay(exact); err != nil {
+			t.Fatalf("exact probe replay: %v", err)
+		}
+		if err := tr.Replay(folded); err != nil {
+			t.Fatalf("folded probe replay: %v", err)
+		}
+		checkSameState(t, "folded-vs-fused", machineState(fused.Mach), machineState(folded.Mach))
+		if !got.same(want) {
+			t.Fatalf("folded probe crossed %d times (hash %x, sum %x), exact %d (hash %x, sum %x)",
+				got.n, got.h, got.sum, want.n, want.h, want.sum)
+		}
 	})
 }

@@ -16,9 +16,10 @@ type Env struct {
 	Prog *program.Program
 	Mach *machine.Machine
 	AOS  *vm.AOS
-	// BlockListener, when non-nil, observes every block entry —
-	// identical to vm.Engine.SetBlockListener.
-	BlockListener func(pc uint64, instrs int)
+	// BlockListener, when non-nil, observes every block entry as
+	// vm.Engine.SetBlockListener's does; entries below its Due may
+	// reach it folded, through Accumulate.
+	BlockListener vm.BlockListener
 }
 
 // rframe mirrors the engine's frame stack: replay needs each in-flight

@@ -17,17 +17,20 @@
 //     its block's pc). A stream repeats a few hundred shapes millions
 //     of times, so the table stays in L1; it is capped at 65 536
 //     shapes, and a recording that needs more fails Finish and runs
-//     directly. Only listener replays (the BBV scheme's block
-//     listener) walk it.
+//     directly. Only replays with a block listener (the BBV and WSS
+//     schemes' accumulators, the telemetry sampler) read it: they count
+//     a run's block ops by shape and hand the counts to the listener in
+//     bulk, and walk op by op only the runs in which the listener's
+//     next interval bound (vm.BlockListener's Due) falls.
 //   - The operand stream: four bytes per op whose shape has the data or
 //     ext bit — the body's single data access (wordAddr<<1|write) or
 //     an ext-table index.
 //   - Runs: the recorder folds each straight-line stretch of foldable
 //     ops (opSeq/opBlock, packed) into one record as it goes — I-lines,
 //     retire batch, mispredicts, D-TLB misses and data count — closed
-//     by the next boundary op, whose shape index the run keeps. A
-//     listener-free replay walks runs: the run's data operands in
-//     order, four bulk charges, then the boundary op.
+//     by the next boundary op, whose shape index the run keeps. Every
+//     replay walks runs: the run's data operands in order, four bulk
+//     charges, then the boundary op.
 //
 // Both streams are lists of fixed-size segments (shapeSeg,
 // operandSeg), so the recorder appends a fresh segment when the
@@ -641,7 +644,7 @@ type sumWalker struct {
 	prog       *program.Program
 	mach       *machine.Machine
 	aos        *vm.AOS
-	listener   func(pc uint64, instrs int)
+	listener   vm.BlockListener
 	sampling   bool
 	check      bool
 	firstEnter bool
@@ -649,10 +652,18 @@ type sumWalker struct {
 	ids        []program.MethodID
 	start      uint64
 	batchSum   uint64
+
+	// With a listener: its Due as of the last entry that reached it,
+	// the block entries folded since the last flush by shape index (a
+	// trace within summaryMaxMemBytes holds far fewer than 2^32 ops),
+	// and the shape indices whose count is nonzero.
+	due     uint64
+	counts  []uint32
+	pending []uint16
 }
 
 func newSumWalker(t *Trace, s *summary, env Env) *sumWalker {
-	return &sumWalker{
+	w := &sumWalker{
 		s:          s,
 		prog:       env.Prog,
 		mach:       env.Mach,
@@ -665,6 +676,11 @@ func newSumWalker(t *Trace, s *summary, env Env) *sumWalker {
 		ids:        make([]program.MethodID, 0, 64),
 		start:      env.Mach.Instructions(),
 	}
+	if w.listener != nil {
+		w.due = w.listener.Due()
+		w.counts = make([]uint32, len(s.shapes))
+	}
+	return w
 }
 
 // opBoundaryMask selects shapes that close a run: every ext op, and
@@ -696,41 +712,54 @@ func (c *operandCursor) take(n uint64) []uint32 {
 // next returns the next operand.
 func (c *operandCursor) next() uint32 { return c.take(1)[0] }
 
-// walk replays the whole recording. The end marker always closes the
-// last run (and is the shape stream's last op), so both walks simply
-// run off the end.
-//
-// Listener-free replays walk runs (walkRuns); replays with a block
-// listener must surface every block boundary individually, so they
-// walk the shape stream op by op (walkOps).
-func (w *sumWalker) walk() error {
-	if w.listener == nil {
-		return w.walkRuns()
-	}
-	return w.walkOps()
-}
+// shapeCursor is the next op's place in the shape stream: segment si,
+// offset k.
+type shapeCursor struct{ si, k int }
 
-// walkRuns is walk for replays without a block listener. Within a run
-// (consecutive seq/block ops — no method boundary, no end marker) the
-// frame stack is constant and every non-cache charge is a sum of
-// per-event constants over independent accumulators, so the recorder
-// has already folded the run's fetch lines, retire batch, recorded
-// mispredicts, and D-TLB misses into single bulk charges. Bit-exactness
-// of each merged charge: integer counters add associatively, power
-// meters charge via Meter.AccessRepeat (bit-exact with one add per
-// event regardless of call granularity), and the merged sampler poll
-// delivers the same samples to the same frame stack (vm.AOS.sampleDueN
-// covers the contiguous retire range identically however it is
-// subdivided). Data accesses still apply one at a time, in order —
-// only their surrounding arithmetic is batched. The boundary op then
-// takes the exact per-op path, so AOS hooks and reconfigurations
-// observe the same machine state as the op-by-op walk. The shape
-// stream is never read.
-func (w *sumWalker) walkRuns() error {
+// walk replays the whole recording one run at a time. The end marker
+// always closes the last run (and is the shape stream's last op), so
+// the walk simply runs off the end.
+//
+// Within a run (consecutive seq/block ops — no method boundary, no end
+// marker) the frame stack is constant and every non-cache charge is a
+// sum of per-event constants over independent accumulators, so the
+// recorder has already folded the run's fetch lines, retire batch,
+// recorded mispredicts, and D-TLB misses into single bulk charges.
+// Bit-exactness of each merged charge: integer counters add
+// associatively, power meters charge via Meter.AccessRepeat (bit-exact
+// with one add per event regardless of call granularity), and the
+// merged sampler poll delivers the same samples to the same frame
+// stack (vm.AOS.sampleDueN covers the contiguous retire range
+// identically however it is subdivided). Data accesses still apply one
+// at a time, in order — only their surrounding arithmetic is batched.
+// The boundary op then takes the exact per-op path, so AOS hooks and
+// reconfigurations observe the same machine state as an op-by-op walk.
+//
+// A block listener sees the run's block entries at instruction counts
+// below the run's end, and below the listener's Due an entry only
+// accumulates and commutes with every other (vm.BlockListener). So a
+// run that ends below Due applies in bulk too, and its block ops are
+// only counted by shape (fold) and handed over later through
+// Accumulate (flush): before the first entry that reaches Due, and at
+// the end of the walk. A run that reaches Due walks op by op
+// (exactRun). A listener whose Due is 0 makes every run exact; that is
+// the reference walk. Without a listener the shape stream is never
+// read.
+func (w *sumWalker) walk() error {
 	mach, aos, shapes := w.mach, w.aos, w.s.shapes
 	cur := operandCursor{segs: w.s.opndSegs}
+	var sc shapeCursor
 	for i := range w.s.runs {
 		r := &w.s.runs[i]
+		if w.listener != nil {
+			if mach.Instructions()+r.batch >= w.due {
+				if err := w.exactRun(&sc, &cur); err != nil {
+					return err
+				}
+				continue
+			}
+			w.fold(&sc)
+		}
 		for n := r.nData; n > 0; {
 			ds := cur.take(n)
 			for _, d := range ds {
@@ -763,28 +792,90 @@ func (w *sumWalker) walkRuns() error {
 			return err
 		}
 	}
+	if w.listener != nil {
+		w.flush()
+	}
 	return nil
 }
 
-// walkOps is walk for replays with a block listener: every op of the
-// shape stream in order, each applied exactly, with an operand cursor
-// alongside.
-func (w *sumWalker) walkOps() error {
+// fold counts the foldable ops of the run at c by shape index and
+// steps c past the boundary op that closes the run. Consecutive ops of
+// one shape (a one-block loop) count in a register.
+func (w *sumWalker) fold(c *shapeCursor) {
 	shapes := w.s.shapes
-	cur := operandCursor{segs: w.s.opndSegs}
-	for si, g := range w.s.shapeSegs {
-		for _, idx := range g[:min(segOps, w.s.n-si<<segShift)] {
-			sh := &shapes[idx]
-			var o uint32
-			if sh.w&opOperandMask != 0 {
-				o = cur.next()
+	last, n := uint32(maxShapes), uint32(0) // no shape yet
+	for ; ; c.si, c.k = c.si+1, 0 {
+		for j, idx := range w.s.shapeSegs[c.si][c.k:] {
+			if uint32(idx) == last {
+				n++
+				continue
 			}
-			if err := w.applyOp(sh, o); err != nil {
-				return err
+			if n != 0 {
+				w.count(uint16(last), n)
 			}
+			if shapes[idx].w&opBoundaryMask != 0 {
+				c.k += j + 1
+				return
+			}
+			last, n = uint32(idx), 1
 		}
 	}
-	return nil
+}
+
+// count adds n entries of shape idx to the pending counts.
+func (w *sumWalker) count(idx uint16, n uint32) {
+	if w.counts[idx] == 0 {
+		w.pending = append(w.pending, idx)
+	}
+	w.counts[idx] += n
+}
+
+// flush hands the folded block entries to the listener, one
+// Accumulate per block shape, and clears the counts.
+func (w *sumWalker) flush() {
+	for _, idx := range w.pending {
+		if sh := &w.s.shapes[idx]; sh.w&(1<<opKindBits-1) == opBlock {
+			w.listener.Accumulate(uint64(sh.pc>>8), int(sh.pc&opInstrMax), uint64(w.counts[idx]))
+		}
+		w.counts[idx] = 0
+	}
+	w.pending = w.pending[:0]
+}
+
+// exactRun applies every op of the run at c in order, the boundary op
+// last, reading operands from cur as it goes.
+func (w *sumWalker) exactRun(c *shapeCursor, cur *operandCursor) error {
+	shapes := w.s.shapes
+	for {
+		if c.k == segOps {
+			c.si, c.k = c.si+1, 0
+		}
+		sh := &shapes[w.s.shapeSegs[c.si][c.k]]
+		c.k++
+		var o uint32
+		if sh.w&opOperandMask != 0 {
+			o = cur.next()
+		}
+		if err := w.applyOp(sh, o); err != nil {
+			return err
+		}
+		if sh.w&opBoundaryMask != 0 {
+			return nil
+		}
+	}
+}
+
+// onBlock reports one block entry to the listener. An entry that
+// reaches Due first flushes the folded entries, so the listener sees
+// every earlier entry before it acts, and then reads the new Due.
+func (w *sumWalker) onBlock(pc uint64, instrs int) {
+	if w.mach.Instructions() < w.due {
+		w.listener.OnBlock(pc, instrs)
+		return
+	}
+	w.flush()
+	w.listener.OnBlock(pc, instrs)
+	w.due = w.listener.Due()
 }
 
 // applyOp replays one op exactly — shape sh with operand o (0 when the
@@ -801,7 +892,7 @@ func (w *sumWalker) applyOp(sh *opShape, o uint32) error {
 			mach.ReplayFetchCharges(n, 0)
 		}
 		if w.listener != nil {
-			w.listener(uint64(sh.pc>>8), int(sh.pc&opInstrMax))
+			w.onBlock(uint64(sh.pc>>8), int(sh.pc&opInstrMax))
 		}
 
 	case opExit:
@@ -881,7 +972,7 @@ func (w *sumWalker) applyExt(kind uint64, x *sumExt) error {
 		// listener — so it performs its machine effects but does not
 		// fire the listener, exactly like direct execution.
 		if w.listener != nil && !w.firstEnter {
-			w.listener(x.pc, int(x.nInstrs))
+			w.onBlock(x.pc, int(x.nInstrs))
 		}
 		w.firstEnter = false
 		aos.ReplayMethodEnter(m.ID)
@@ -892,7 +983,7 @@ func (w *sumWalker) applyExt(kind uint64, x *sumExt) error {
 	case opBlock:
 		w.fetch(x)
 		if w.listener != nil {
-			w.listener(x.pc, int(x.nInstrs))
+			w.onBlock(x.pc, int(x.nInstrs))
 		}
 
 	case opExit:

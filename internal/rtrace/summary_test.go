@@ -81,8 +81,8 @@ func TestSummaryCachedOnce(t *testing.T) {
 // TestSummarizedReplayMatchesExact: the run walk, which applies the
 // arithmetic charges the recorder folded per straight-line run as bulk
 // charges, must leave the machine bit-identical to the exact walk,
-// which applies every op on its own. A block listener forces the exact walk, so a
-// no-op one gives the reference.
+// which applies every op on its own. A block listener whose Due is 0
+// makes every run walk op by op, so a blockLog gives the reference.
 func TestSummarizedReplayMatchesExact(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -96,7 +96,7 @@ func TestSummarizedReplayMatchesExact(t *testing.T) {
 			requireSegments(t, tc.name, tr.summaryFor(prog))
 
 			exact := freshEnv(t, prog)
-			exact.BlockListener = func(uint64, int) {}
+			exact.BlockListener = &blockLog{}
 			if err := tr.Replay(exact); err != nil {
 				t.Fatalf("exact replay: %v", err)
 			}
@@ -203,7 +203,7 @@ func TestExtPathWideAndMultiAccess(t *testing.T) {
 	}
 	var log blockLog
 	listened := fuzzEnv(t)
-	listened.BlockListener = log.listen
+	listened.BlockListener = &log
 	if err := tr.Replay(listened); err != nil {
 		t.Fatalf("listener replay: %v", err)
 	}
@@ -251,8 +251,10 @@ func TestShapeTableOverflow(t *testing.T) {
 // TestRunCrossesSegments: one straight-line run longer than an operand
 // segment — 70 000 block ops with a data access each, some missing the
 // D-TLB, some mispredicting — must replay identically on the run walk,
-// whose data loop crosses the segment boundary mid-run, and on the
-// listener walk, which crosses shape and operand segments op by op.
+// whose data loop crosses the segment boundary mid-run; on the exact
+// walk, which crosses shape and operand segments op by op; and on a
+// folding walk, which counts the run's block ops across shape segments
+// until a probe's interval bound falls in it.
 func TestRunCrossesSegments(t *testing.T) {
 	const blocks = 70_000
 	r := NewSummaryRecorder(fuzzProg, 0)
@@ -289,7 +291,7 @@ func TestRunCrossesSegments(t *testing.T) {
 	}
 	var log blockLog
 	listened := fuzzEnv(t)
-	listened.BlockListener = log.listen
+	listened.BlockListener = &log
 	if err := tr.Replay(listened); err != nil {
 		t.Fatalf("listener walk: %v", err)
 	}
@@ -297,7 +299,78 @@ func TestRunCrossesSegments(t *testing.T) {
 	if log.n != blocks {
 		t.Errorf("listener fired %d times, want %d", log.n, blocks)
 	}
+	// The run retires 3 instructions per block: an interval of 3·70 000
+	// folds it whole (the bound lands on the halt), and one of 3·66 000
+	// makes the walk count 65 536+ ops before it must go op by op.
+	for _, every := range []uint64{3 * blocks, 3 * 66_000} {
+		exact := fuzzEnv(t)
+		want := newProbe(exact.Mach, every, true)
+		exact.BlockListener = want
+		folded := fuzzEnv(t)
+		got := newProbe(folded.Mach, every, false)
+		folded.BlockListener = got
+		if err := tr.Replay(exact); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Replay(folded); err != nil {
+			t.Fatal(err)
+		}
+		checkSameState(t, "folded-vs-runs", machineState(fused.Mach), machineState(folded.Mach))
+		if !got.same(want) {
+			t.Errorf("every %d: folded probe crossed %d times (hash %x, sum %x), exact %d (hash %x, sum %x)",
+				every, got.n, got.h, got.sum, want.n, want.h, want.sum)
+		}
+	}
 	if got := fused.Mach.L1D.Stats().Accesses; got != blocks {
 		t.Errorf("L1D saw %d accesses, want %d", got, blocks)
+	}
+}
+
+// TestFoldReachesDue pins the two edges of a folding replay with a
+// probe whose interval bound is 20 instructions. The first run (three
+// 4-instruction blocks, ending at 12) folds; the second (two more and
+// an empty-bodied block whose entry lands at 20) ends exactly at the
+// bound, so it must walk op by op and deliver the crossing on that
+// last entry; and the first run's folded entries must reach the probe
+// before the crossing does.
+func TestFoldReachesDue(t *testing.T) {
+	r := NewSummaryRecorder(fuzzProg, 0)
+	r.RecordEnter(0, 0, 0, true)
+	for i := 0; i < 3; i++ {
+		r.RecordBlock(1, 0, 0, true)
+		r.RecordBody(nil, 4, vm.BranchNone)
+	}
+	r.RecordEnter(0, 0, 0, true)
+	for i := 0; i < 2; i++ {
+		r.RecordBlock(1, 0, 0, true)
+		r.RecordBody(nil, 4, vm.BranchNone)
+	}
+	r.RecordBlock(2, 0, 0, true)
+	r.RecordExit()
+	r.RecordBlock(1, 0, 0, true)
+	r.RecordBody(nil, 4, vm.BranchNone)
+	r.RecordExit()
+	r.RecordHalt()
+	tr, err := r.Finish(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	exact, folded := fuzzEnv(t), fuzzEnv(t)
+	want, got := newProbe(exact.Mach, 20, true), newProbe(folded.Mach, 20, false)
+	exact.BlockListener, folded.BlockListener = want, got
+	if err := tr.Replay(exact); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Replay(folded); err != nil {
+		t.Fatal(err)
+	}
+	if want.n != 1 || want.next != 40 {
+		t.Fatalf("exact probe crossed %d times, next bound %d; want once, at 20", want.n, want.next)
+	}
+	checkSameState(t, "folded-vs-exact", machineState(exact.Mach), machineState(folded.Mach))
+	if !got.same(want) {
+		t.Errorf("folded probe crossed %d times (hash %x, sum %x), exact %d (hash %x, sum %x)",
+			got.n, got.h, got.sum, want.n, want.h, want.sum)
 	}
 }

@@ -57,13 +57,21 @@ func NewSampler(sink Sink, mach *machine.Machine, every uint64) (*Sampler, error
 // Every returns the sampling interval in instructions.
 func (s *Sampler) Every() uint64 { return s.every }
 
-// OnBlock checks the interval timer; install it as (or chain it into)
-// the engine's block listener.
+// OnBlock checks the interval timer. The sampler is a
+// vm.BlockListener: install it as (or chain it into) the engine's
+// block listener.
 func (s *Sampler) OnBlock(pc uint64, instrs int) {
 	if s.mach.Instructions() >= s.next {
 		s.sample()
 	}
 }
+
+// Accumulate does nothing: below Due a block entry leaves the sampler
+// as it was (vm.BlockListener).
+func (s *Sampler) Accumulate(pc uint64, instrs int, n uint64) {}
+
+// Due is the next sample's instruction count (vm.BlockListener).
+func (s *Sampler) Due() uint64 { return s.next }
 
 // Final emits the trailing partial interval, if any instructions
 // retired since the last sample. Call it once after the run completes.

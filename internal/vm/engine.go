@@ -74,7 +74,7 @@ type Engine struct {
 
 	// blockListener, when set, observes every basic-block entry
 	// (the feed for the BBV accumulator hardware).
-	blockListener func(pc uint64, instrs int)
+	blockListener BlockListener
 
 	// rec, when set, observes the architectural event stream (see
 	// SetRecorder in record.go): the engine hands it the outcomes the
@@ -95,11 +95,32 @@ type Engine struct {
 	recData []uint64
 }
 
+// BlockListener observes basic-block entries: profiling hardware such
+// as a phase detector's accumulator or an interval sampler. The engine
+// calls OnBlock on every block entry. A trace replay (internal/rtrace)
+// may instead fold entries that Due says cannot matter, so a listener
+// states what it does with them:
+//
+//   - Due is an instruction count. An entry seen while the machine has
+//     retired fewer instructions than Due only accumulates: it changes
+//     no machine state, reads none but that count, and commutes with
+//     every other such entry. A listener that promises nothing returns
+//     0, and every replay then calls OnBlock on every entry, in order.
+//   - Accumulate is n such entries of one block at once, and must
+//     leave the listener exactly as n OnBlock calls below Due would.
+//
+// Due may move only during an OnBlock call at or past it.
+type BlockListener interface {
+	OnBlock(pc uint64, instrs int)
+	Accumulate(pc uint64, instrs int, n uint64)
+	Due() uint64
+}
+
 // SetBlockListener installs a basic-block entry observer. Pass nil to
 // remove it. The listener models profiling hardware, so it must not
 // re-enter the engine.
-func (e *Engine) SetBlockListener(fn func(pc uint64, instrs int)) {
-	e.blockListener = fn
+func (e *Engine) SetBlockListener(l BlockListener) {
+	e.blockListener = l
 }
 
 // NewEngine constructs an engine in ModeOptimized. The program must be
@@ -154,7 +175,7 @@ func (e *Engine) push(id program.MethodID, retReg uint8) (tlbMask, missMask uint
 		e.rec.RecordEnter(id, tlbMask, missMask, ok)
 	}
 	if e.blockListener != nil {
-		e.blockListener(f.block.PC, len(f.block.Instrs))
+		e.blockListener.OnBlock(f.block.PC, len(f.block.Instrs))
 	}
 	e.aos.methodEnter(id)
 	return tlbMask, missMask, ok
@@ -168,7 +189,7 @@ func (e *Engine) enterBlock(f *frame, idx int) {
 		e.rec.RecordBlock(idx, tlb, miss, ok)
 	}
 	if e.blockListener != nil {
-		e.blockListener(f.block.PC, len(f.block.Instrs))
+		e.blockListener.OnBlock(f.block.PC, len(f.block.Instrs))
 	}
 }
 

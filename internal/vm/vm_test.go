@@ -416,22 +416,33 @@ func TestHotspotInstrSpans(t *testing.T) {
 func TestBlockListener(t *testing.T) {
 	prog := sumProgram(10)
 	eng, _, _ := newEnv(t, prog, testParams())
-	var blocks int
-	var instrs int
-	eng.SetBlockListener(func(pc uint64, n int) { blocks++; instrs += n })
+	var l countListener
+	eng.SetBlockListener(&l)
 	if err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	// Loop block 10 times (fallthrough + 9 taken branches) plus the
 	// exit block. The entry block is fetched during NewEngine,
 	// before the listener attaches, so it is not observed.
-	if blocks != 11 {
-		t.Errorf("block entries = %d, want 11", blocks)
+	if l.blocks != 11 {
+		t.Errorf("block entries = %d, want 11", l.blocks)
 	}
-	if instrs == 0 {
+	if l.instrs == 0 {
 		t.Error("listener should see instruction counts")
 	}
 }
+
+// countListener counts block entries and their instructions.
+type countListener struct{ blocks, instrs int }
+
+func (l *countListener) OnBlock(pc uint64, n int) { l.blocks++; l.instrs += n }
+
+func (l *countListener) Accumulate(pc uint64, n int, k uint64) {
+	l.blocks += int(k)
+	l.instrs += n * int(k)
+}
+
+func (l *countListener) Due() uint64 { return 0 }
 
 func TestHaltUnwindingBalancesProfiles(t *testing.T) {
 	// Halt inside main while a callee chain completed before:

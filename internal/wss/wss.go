@@ -117,11 +117,14 @@ func MustNewDetector(params Params) *Detector {
 // Name identifies the detector.
 func (d *Detector) Name() string { return "wss" }
 
-// Accumulate hashes the executed block's address into the signature.
-// The instruction count is irrelevant: working sets record membership,
-// not weight — one of the representational differences from BBVs.
-func (d *Detector) Accumulate(pc uint64, instrs int) {
-	d.acc.set(hash(pc))
+// Accumulate hashes the executed block's address into the signature
+// when n > 0. The instruction count and the repeat count are
+// irrelevant: working sets record membership, not weight — one of the
+// representational differences from BBVs.
+func (d *Detector) Accumulate(pc uint64, instrs int, n uint64) {
+	if n > 0 {
+		d.acc.set(hash(pc))
+	}
 }
 
 // hash mixes the block address so nearby blocks spread across the
@@ -155,8 +158,8 @@ func (d *Detector) Boundary() int {
 
 // NewManager constructs the temporal-scheme manager (stability
 // tracking + all-combinations tuner, from internal/bbv) driven by the
-// working-set-signature detector. Install the returned manager's
-// OnBlock as the engine's block listener.
+// working-set-signature detector. Install the returned manager as the
+// engine's block listener.
 func NewManager(schemeParams bbv.Params, detParams Params, mach *machine.Machine) (*bbv.Manager, error) {
 	det, err := NewDetector(detParams)
 	if err != nil {

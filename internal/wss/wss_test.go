@@ -1,7 +1,9 @@
 package wss
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -66,21 +68,21 @@ func TestDetectorClassifiesWorkingSets(t *testing.T) {
 	d := MustNewDetector(DefaultParams())
 	// Interval A: blocks 0..9.
 	for pc := uint64(0); pc < 10; pc++ {
-		d.Accumulate(pc*16, 8)
+		d.Accumulate(pc*16, 8, 1)
 	}
 	if got := d.Boundary(); got != 0 {
 		t.Fatalf("first interval phase = %d", got)
 	}
 	// Interval B: disjoint blocks 100..109: new phase.
 	for pc := uint64(100); pc < 110; pc++ {
-		d.Accumulate(pc*16, 8)
+		d.Accumulate(pc*16, 8, 1)
 	}
 	if got := d.Boundary(); got != 1 {
 		t.Fatalf("disjoint interval phase = %d, want 1", got)
 	}
 	// Interval A again, with one extra block: recurring (δ small).
 	for pc := uint64(0); pc < 11; pc++ {
-		d.Accumulate(pc*16, 8)
+		d.Accumulate(pc*16, 8, 1)
 	}
 	if got := d.Boundary(); got != 0 {
 		t.Fatalf("recurring interval phase = %d, want 0", got)
@@ -92,9 +94,9 @@ func TestAccumulateIgnoresWeight(t *testing.T) {
 	// thousand times yields the same signature.
 	d1 := MustNewDetector(DefaultParams())
 	d2 := MustNewDetector(DefaultParams())
-	d1.Accumulate(64, 8)
+	d1.Accumulate(64, 8, 1)
 	for i := 0; i < 1000; i++ {
-		d2.Accumulate(64, 8)
+		d2.Accumulate(64, 8, 1)
 	}
 	p1 := d1.Boundary()
 	// d2 must classify into the same phase as d1's signature...
@@ -103,6 +105,29 @@ func TestAccumulateIgnoresWeight(t *testing.T) {
 	_ = p1
 	if Distance(d1.signatures[0], d2.acc) != 0 {
 		t.Error("repetition must not change the signature")
+	}
+}
+
+// TestAccumulateRepeatEqualsUnitCalls: one Accumulate(pc, instrs, n)
+// must leave the signature exactly as n calls with n = 1 do: no bit
+// for n = 0, the block's bit for any n > 0, whatever instrs·n is. A
+// unit call after the first sets nothing new, so the unit side stops
+// at 16 calls.
+func TestAccumulateRepeatEqualsUnitCalls(t *testing.T) {
+	for _, c := range []struct {
+		instrs int
+		n      uint64
+	}{{8, 0}, {8, 1}, {8, 3}, {1 << 20, 1 << 13}, {math.MaxInt, 1 << 40}} {
+		bulk, unit := MustNewDetector(DefaultParams()), MustNewDetector(DefaultParams())
+		bulk.Accumulate(64, 3, 1)
+		unit.Accumulate(64, 3, 1)
+		bulk.Accumulate(4096, c.instrs, c.n)
+		for k := uint64(0); k < min(c.n, 16); k++ {
+			unit.Accumulate(4096, c.instrs, 1)
+		}
+		if !slices.Equal(bulk.acc, unit.acc) {
+			t.Errorf("instrs %d n %d: repeat count and unit calls set different bits", c.instrs, c.n)
+		}
 	}
 }
 

@@ -5,6 +5,9 @@
 # under a deterministic simulator-level fault plan (rejected CU
 # requests, resize stalls, dropped timer samples, flipped BBV bits).
 # Direct execution is the oracle for the record-once/replay-many path.
+# The clean pass also diffs the phase-detector comparison table
+# (acetables -detectors, whose stdout carries no wall times), the one
+# end-to-end output of the WSS scheme's replays.
 set -eu
 
 GO=${GO:-go}
@@ -32,3 +35,8 @@ for plan in none faults; do
     cmp "$TMP/replay_$plan.json" "$TMP/direct_$plan.json"
     echo "replay-check ($plan): snapshots byte-identical"
 done
+
+$GO run ./cmd/acetables -detectors -q > "$TMP/replay_detectors.txt"
+$GO run ./cmd/acetables -detectors -q -noreplay > "$TMP/direct_detectors.txt"
+cmp "$TMP/replay_detectors.txt" "$TMP/direct_detectors.txt"
+echo "replay-check (detectors): tables byte-identical"
