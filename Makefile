@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEngineVsReference -fuzztime=20s ./internal/vm
 	$(GO) test -fuzz=FuzzEngineUnderManagement -fuzztime=20s ./internal/vm
 	$(GO) test -fuzz=FuzzCacheVsReference -fuzztime=20s ./internal/cache
+	$(GO) test -fuzz=FuzzAccessWords -fuzztime=20s ./internal/cache
 	$(GO) test -fuzz=FuzzDetector -fuzztime=20s ./internal/bbv
 	$(GO) test -fuzz=FuzzRecorderCalls -fuzztime=20s ./internal/rtrace
 
@@ -151,6 +152,7 @@ ci: build vet fmt-check doclint
 	$(GO) test -fuzz=FuzzEngineVsReference -fuzztime=10s -run=^$$ ./internal/vm
 	$(GO) test -fuzz=FuzzEngineUnderManagement -fuzztime=10s -run=^$$ ./internal/vm
 	$(GO) test -fuzz=FuzzCacheVsReference -fuzztime=10s -run=^$$ ./internal/cache
+	$(GO) test -fuzz=FuzzAccessWords -fuzztime=10s -run=^$$ ./internal/cache
 	$(GO) test -fuzz=FuzzDetector -fuzztime=10s -run=^$$ ./internal/bbv
 	$(GO) test -fuzz=FuzzRecorderCalls -fuzztime=10s -run=^$$ ./internal/rtrace
 	$(MAKE) chaos

@@ -10,6 +10,7 @@
 package acedo_test
 
 import (
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -453,6 +454,40 @@ func BenchmarkReplayThreeCU(b *testing.B) {
 		instr += r.Instr
 	}
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
+// BenchmarkReplayAssoc measures the hotspot replay a configuration
+// search pays per candidate on the batched data kernel's general probe
+// path: jess recorded once per geometry outside the timer, then
+// replayed with a direct-mapped and an 8-way L1D (both 2-way L1s take
+// the specialised probe) over a 16-way L2 — associativities from
+// optimize.DefaultSpace.
+func BenchmarkReplayAssoc(b *testing.B) {
+	spec, _ := acedo.BenchmarkByName("jess")
+	spec = spec.WithMainLoops(benchLoops)
+	for _, l1dWays := range []int{1, 8} {
+		b.Run(fmt.Sprintf("L1D%dway", l1dWays), func(b *testing.B) {
+			opt := acedo.DefaultOptions()
+			opt.Machine.L1DWays, opt.Machine.L2Ways = l1dWays, 16
+			_, tr, err := experiment.RecordedBaseline(spec, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if tr == nil {
+				b.Fatal("baseline recording not retained")
+			}
+			b.ResetTimer()
+			var instr uint64
+			for i := 0; i < b.N; i++ {
+				r, err := experiment.ReplayScheme(spec, acedo.SchemeHotspot, opt, tr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instr += r.Instr
+			}
+			b.ReportMetric(float64(instr)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+		})
+	}
 }
 
 // BenchmarkEngine measures raw interpreter throughput in simulated

@@ -22,7 +22,6 @@ import (
 
 	"acedo/internal/experiment"
 	"acedo/internal/fault"
-	"acedo/internal/workload"
 )
 
 func main() {
@@ -77,14 +76,10 @@ func run() int {
 	}
 	if *detectors {
 		start := time.Now()
-		var cs []*experiment.DetectorComparison
-		for _, spec := range workload.Suite() {
-			c, err := experiment.CompareDetectors(spec, opt)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "acetables: %v\n", err)
-				return 1
-			}
-			cs = append(cs, c)
+		cs, err := experiment.RunDetectorSuite(opt)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "acetables: %v\n", err)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "acetables: 28 simulations in %.1fs\n", time.Since(start).Seconds())
 		experiment.DetectorTable(os.Stdout, cs)

@@ -200,67 +200,103 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	// redundant in it but harmless, and keeping them avoids a shift
 	// on every probe.
 	blockAddr := addr >> c.blockShift
-	set := blockAddr & c.setMask
-	base := int(set) * c.ways
+	base := int(blockAddr&c.setMask) * c.ways
+	if i := probe(c.lines, base, c.ways, blockAddr); i >= 0 {
+		c.stats.Hits++
+		ln := &c.lines[i]
+		ln.lastUse = c.useTick
+		if write {
+			ln.dirty = true
+		}
+		return Result{Hit: true}
+	}
+	return c.fill(victim(c.lines, base, c.ways), blockAddr, write)
+}
 
-	// Specialised probes for the common organisations: direct-mapped
-	// (one line, no victim scan at all) and 2-way (both L1s), where
-	// two inline compares beat the general scan loop.
-	switch c.ways {
-	case 1:
-		ln := &c.lines[base]
+// AccessWords is the batched form of Access for a run of data
+// accesses: each operand d is a word address shifted left once with
+// the write flag in bit 0, at byte address (d>>1)<<wordShift. It
+// applies the operands in order and stops after the first miss,
+// returning how many it consumed and the last one's Result — Hit when
+// every operand hit, otherwise the miss with its dirty eviction, which
+// the caller propagates before it resumes on the rest of ds. Every
+// consumed operand changes the cache and its stats exactly as one
+// Access would; hits keep the LRU clock and the hit count in locals,
+// and an operand in the block its predecessor hit skips the probe.
+// wordShift must not exceed the cache's block shift.
+func (c *Cache) AccessWords(ds []uint32, wordShift uint) (int, Result) {
+	// One shift takes d to its block address, (d>>1)<<wordShift >>
+	// blockShift; masking the count spares the compiler's guard for
+	// counts past 63, which cannot occur.
+	if wordShift > c.blockShift {
+		panic(fmt.Sprintf("cache %s: words of 1<<%d bytes exceed its blocks", c.name, wordShift))
+	}
+	lines, ways, mask, shift := c.lines, c.ways, c.setMask, (c.blockShift+1-wordShift)&63
+	tick, hits := c.useTick, c.stats.Hits
+	// last is the block the previous operand hit, at line lw: only a
+	// miss evicts, and a miss ends the loop, so an operand in the same
+	// block hits that line without a probe.
+	last, lw := ^uint64(0), 0
+	for i, d := range ds {
+		tick++
+		blockAddr := uint64(d) >> shift
+		if blockAddr != last {
+			base := int(blockAddr&mask) * ways
+			w := probe(lines, base, ways, blockAddr)
+			if w < 0 {
+				c.useTick, c.stats.Hits = tick, hits
+				c.stats.Accesses += uint64(i + 1)
+				return i + 1, c.fill(victim(lines, base, ways), blockAddr, d&1 != 0)
+			}
+			last, lw = blockAddr, w
+		}
+		hits++
+		ln := &lines[lw]
+		ln.lastUse = tick
+		if d&1 != 0 {
+			ln.dirty = true
+		}
+	}
+	c.useTick, c.stats.Hits = tick, hits
+	c.stats.Accesses += uint64(len(ds))
+	return len(ds), Result{Hit: true}
+}
+
+// probe returns the index of the line in the set at base that holds
+// blockAddr, or -1 when the set misses. Both L1s are 2-way, where two
+// inline compares beat the general scan.
+func probe(lines []line, base, ways int, blockAddr uint64) int {
+	if ways == 2 {
+		set := lines[base : base+2 : base+2]
+		if set[0].valid && set[0].tag == blockAddr {
+			return base
+		}
+		if set[1].valid && set[1].tag == blockAddr {
+			return base + 1
+		}
+		return -1
+	}
+	for i, ln := range lines[base : base+ways] {
 		if ln.valid && ln.tag == blockAddr {
-			c.stats.Hits++
-			ln.lastUse = c.useTick
-			if write {
-				ln.dirty = true
-			}
-			return Result{Hit: true}
-		}
-		return c.fill(base, blockAddr, write)
-	case 2:
-		if ln := &c.lines[base]; ln.valid && ln.tag == blockAddr {
-			c.stats.Hits++
-			ln.lastUse = c.useTick
-			if write {
-				ln.dirty = true
-			}
-			return Result{Hit: true}
-		}
-		if ln := &c.lines[base+1]; ln.valid && ln.tag == blockAddr {
-			c.stats.Hits++
-			ln.lastUse = c.useTick
-			if write {
-				ln.dirty = true
-			}
-			return Result{Hit: true}
-		}
-	default:
-		for i := base; i < base+c.ways; i++ {
-			ln := &c.lines[i]
-			if ln.valid && ln.tag == blockAddr {
-				c.stats.Hits++
-				ln.lastUse = c.useTick
-				if write {
-					ln.dirty = true
-				}
-				return Result{Hit: true}
-			}
+			return base + i
 		}
 	}
+	return -1
+}
 
-	// Miss: pick LRU victim (prefer invalid ways).
-	victim := base
-	for i := base; i < base+c.ways; i++ {
-		if !c.lines[i].valid {
-			victim = i
-			break
+// victim returns the line of the set at base that a miss replaces:
+// the first invalid way, else the least recently used.
+func victim(lines []line, base, ways int) int {
+	v := base
+	for i := base; i < base+ways; i++ {
+		if !lines[i].valid {
+			return i
 		}
-		if c.lines[i].lastUse < c.lines[victim].lastUse {
-			victim = i
+		if lines[i].lastUse < lines[v].lastUse {
+			v = i
 		}
 	}
-	return c.fill(victim, blockAddr, write)
+	return v
 }
 
 // fill installs blockAddr in the line at index victim on a miss,

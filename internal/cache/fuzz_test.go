@@ -1,10 +1,12 @@
 package cache
 
-// Native fuzz target for the resizable cache against the brute-force
-// LRU oracle (see cache_test.go).
+// Native fuzz targets for the resizable cache: against the
+// brute-force LRU oracle (see cache_test.go), and the batched
+// AccessWords kernel against one Access per operand.
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -55,6 +57,83 @@ func FuzzCacheVsReference(f *testing.F) {
 				// blocks the fresh oracle does not know, so
 				// only this direction is a bug.
 				t.Fatalf("step %d addr %d: oracle hit but cache missed after resize", i, addr)
+			}
+		}
+	})
+}
+
+// FuzzAccessWords checks the batched kernel against the one-access
+// path: random operand batches of reads and writes go through
+// AccessWords on one cache and one Access per operand on a twin, for
+// every associativity the configuration search uses plus 16-way, with
+// random resizes between batches; half the operands stay in their
+// predecessor's block. After each batch the two must agree
+// on stats, the LRU clock, every set's lines (tags, last use, dirty
+// bits), and each miss's Result, in order.
+func FuzzAccessWords(f *testing.F) {
+	for _, seed := range []int64{1, 7, 2024} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for _, ways := range []int{1, 2, 4, 8, 16} {
+			sizes := []int{4 * ways * 64, 8 * ways * 64, 16 * ways * 64, 32 * ways * 64}
+			c := MustNew("kernel", sizes[3], 64, ways)
+			twin := MustNew("twin", sizes[3], 64, ways)
+			// Three times the largest capacity in words, so
+			// batches mix hits, clean and dirty evictions.
+			span := 3 * 32 * ways * 8
+			for batch := 0; batch < 100; batch++ {
+				if rng.Intn(8) == 0 {
+					size := sizes[rng.Intn(len(sizes))]
+					wb, err := c.Resize(size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if twb, _ := twin.Resize(size); twb != wb {
+						t.Fatalf("%d-way resize: %d writebacks, twin %d", ways, wb, twb)
+					}
+				}
+				ds := make([]uint32, rng.Intn(48))
+				for i := range ds {
+					word := rng.Intn(span)
+					if i > 0 && rng.Intn(2) == 0 {
+						// The previous operand's 64-byte block.
+						word = int(ds[i-1]>>1) ^ rng.Intn(8)
+					}
+					ds[i] = uint32(word) << 1
+					if rng.Intn(3) == 0 {
+						ds[i] |= 1
+					}
+				}
+				var got, want []Result
+				for rest := ds; len(rest) > 0; {
+					n, r := c.AccessWords(rest, 3)
+					if n < 1 || n > len(rest) || r.Hit && n != len(rest) {
+						t.Fatalf("%d-way batch %d: consumed %d of %d, hit %v", ways, batch, n, len(rest), r.Hit)
+					}
+					if !r.Hit {
+						got = append(got, r)
+					}
+					rest = rest[n:]
+				}
+				for _, d := range ds {
+					if r := twin.Access(uint64(d>>1)<<3, d&1 != 0); !r.Hit {
+						want = append(want, r)
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d-way batch %d: miss results %v, twin %v", ways, batch, got, want)
+				}
+				if c.Stats() != twin.Stats() || c.Tick() != twin.Tick() {
+					t.Fatalf("%d-way batch %d: stats %+v tick %d, twin %+v tick %d",
+						ways, batch, c.Stats(), c.Tick(), twin.Stats(), twin.Tick())
+				}
+				for set := uint64(0); set < uint64(c.NumSets()); set++ {
+					if g, w := c.ViewSet(set), twin.ViewSet(set); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%d-way batch %d set %d: %+v, twin %+v", ways, batch, set, g, w)
+					}
+				}
 			}
 		}
 	})

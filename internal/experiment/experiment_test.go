@@ -208,6 +208,31 @@ func TestCompareDetectors(t *testing.T) {
 	}
 }
 
+// TestRunDetectorSuiteAdjustsWorkload: the detector suite runs the
+// same scale-adjusted programs as RunSuite, so off the default scale
+// every detector row's baseline retires exactly RunSuite's
+// instruction count for its benchmark.
+func TestRunDetectorSuiteAdjustsWorkload(t *testing.T) {
+	opt := OptionsAtScale(20)
+	cs, err := RunSuite(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := RunDetectorSuite(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds) != len(cs) {
+		t.Fatalf("%d detector rows, %d suite rows", len(ds), len(cs))
+	}
+	for i, d := range ds {
+		if d.Name != cs[i].Name || d.Base.Instr != cs[i].Base.Instr {
+			t.Errorf("row %d: detectors %s baseline %d instr, suite %s %d",
+				i, d.Name, d.Base.Instr, cs[i].Name, cs[i].Base.Instr)
+		}
+	}
+}
+
 func TestAdjustWorkload(t *testing.T) {
 	spec := miniSpec(t) // 2 loops
 	if got := DefaultOptions().AdjustWorkload(spec).MainLoops; got != 2 {

@@ -737,8 +737,8 @@ func CompareDetectors(spec workload.Spec, opt Options) (*DetectorComparison, err
 // scale divisor. The suite's defaults are written for scale 10; at
 // paper scale (1) every interval parameter is 10× longer, so programs
 // must run 10× longer for the same number of sampling intervals and
-// hotspot invocations. RunSuite/Collect apply this automatically;
-// direct Run/Compare callers pass specs verbatim.
+// hotspot invocations. RunSuite, RunDetectorSuite and Collect apply
+// this automatically; direct Run/Compare callers pass specs verbatim.
 func (o Options) AdjustWorkload(s workload.Spec) workload.Spec {
 	if o.ScaleDiv == 10 || o.ScaleDiv == 0 {
 		return s
@@ -760,8 +760,28 @@ func (o Options) AdjustWorkload(s workload.Spec) workload.Spec {
 // nil) alongside the joined failures, so callers can render partial
 // results instead of discarding a mostly-good suite.
 func RunSuite(opt Options) ([]*Comparison, error) {
+	return runSuite(opt, Compare, func(c *Comparison) string {
+		return runsSummary(c.Base, c.BBVRun, c.HotRun)
+	})
+}
+
+// RunDetectorSuite is RunSuite for the phase-detector comparison: it
+// runs CompareDetectors over every benchmark through the same loop —
+// workload adjustment, parallelism cap, transient retry, failure
+// isolation and suite-ordered results.
+func RunDetectorSuite(opt Options) ([]*DetectorComparison, error) {
+	return runSuite(opt, CompareDetectors, func(c *DetectorComparison) string {
+		return runsSummary(c.Base, c.BBVRun, c.WSSRun, c.HotRun)
+	})
+}
+
+// runSuite is the suite loop behind RunSuite and RunDetectorSuite:
+// compare runs once per benchmark on at most Options.Parallelism
+// goroutines, and summary renders a completed benchmark's progress-line
+// suffix.
+func runSuite[C any](opt Options, compare func(workload.Spec, Options) (C, error), summary func(C) string) ([]C, error) {
 	specs := workload.Suite()
-	out := make([]*Comparison, len(specs))
+	out := make([]C, len(specs))
 	errs := make([]error, len(specs))
 
 	start := time.Now()
@@ -779,7 +799,7 @@ func RunSuite(opt Options) ([]*Comparison, error) {
 		go func(i int, spec workload.Spec) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			out[i], errs[i] = Compare(opt.AdjustWorkload(spec), opt)
+			out[i], errs[i] = compare(opt.AdjustWorkload(spec), opt)
 			if errs[i] != nil && IsTransient(errs[i]) {
 				// A transient fault has cleared by the retry:
 				// re-run under the plan minus its transient rules
@@ -789,7 +809,7 @@ func RunSuite(opt Options) ([]*Comparison, error) {
 				// stands.
 				ropt := opt
 				ropt.Faults = opt.Faults.WithoutTransient()
-				out[i], errs[i] = Compare(opt.AdjustWorkload(spec), ropt)
+				out[i], errs[i] = compare(opt.AdjustWorkload(spec), ropt)
 			}
 			if opt.Log != nil {
 				n := done.Add(1)
@@ -799,8 +819,7 @@ func RunSuite(opt Options) ([]*Comparison, error) {
 						spec.Name, n, len(specs), time.Since(start).Seconds(), errs[i])
 				} else {
 					fmt.Fprintf(opt.Log, "suite: %-10s done (%d/%d, %.1fs elapsed)%s\n",
-						spec.Name, n, len(specs), time.Since(start).Seconds(),
-						runsSummary(out[i].Base, out[i].BBVRun, out[i].HotRun))
+						spec.Name, n, len(specs), time.Since(start).Seconds(), summary(out[i]))
 				}
 				logMu.Unlock()
 			}

@@ -9,7 +9,7 @@
 // paper's in-progress extension CUs.
 //
 // The execution engine drives the machine with architectural events
-// (Issue, Fetch, Data, CondBranch); the ACE managers drive it through
+// (IssueBatch, FetchLines, Data, CondBranch); the ACE managers drive it through
 // the ace.Unit control registers (L1DUnit, L2Unit, IQUnit).
 package machine
 
@@ -25,15 +25,6 @@ import (
 )
 
 const kb = 1024
-
-// Instruction addresses are 4 bytes apart and live in a region
-// disjoint from data so the unified L2 keeps I- and D-blocks apart.
-// The geometry is owned by package isa so the program sealer can
-// precompute each block's I-line range without importing the machine.
-const (
-	instrBytes = isa.InstrBytes
-	iBase      = isa.IBase
-)
 
 // Config parameterises the machine. ScaledConfig and PaperConfig build
 // the standard instances.
@@ -408,27 +399,10 @@ func (m *Machine) IssueBatch(n uint64) {
 // a 64 B line holds 16 4-byte instructions).
 const iLineBytes = isa.ILineBytes
 
-// Fetch simulates the instruction fetch for the basic block whose
-// first instruction has global index pc and which holds instrs
-// instructions. The fetch walks the block's I-cache line range and
-// accesses each 64 B line once: a block longer than 16 instructions
-// spans — and pays for — multiple lines. The engine calls FetchLines
-// with the sealed line range once per block entry; Fetch derives the
-// range from scratch for callers without a sealed block.
-func (m *Machine) Fetch(pc uint64, instrs int) {
-	if instrs < 1 {
-		instrs = 1
-	}
-	first := (iBase + pc*instrBytes) &^ (iLineBytes - 1)
-	last := (iBase + (pc+uint64(instrs)-1)*instrBytes) &^ (iLineBytes - 1)
-	m.FetchLines(first, last)
-}
-
 // FetchLines walks the I-cache line range [first, last] (byte
 // addresses of 64 B lines) and accesses each line once. The sealed
 // program stores each block's precomputed range (program.Block
-// FirstLine/LastLine), so the per-block-entry fast path skips the
-// address arithmetic Fetch performs.
+// FirstLine/LastLine), so a block entry does no address arithmetic.
 //
 // It reports each line's I-TLB and L1I outcomes as bitmasks (bit i set
 // = the walk's i-th line missed). Both structures have fixed
@@ -485,38 +459,59 @@ func (m *Machine) ReplayFetchLines(first, last, tlbMask, missMask uint64) {
 	}
 }
 
+// wordShift converts the engine's word addresses (8-byte words) to
+// byte addresses.
+const wordShift = 3
+
 // Data simulates a data access to the given word address and reports
 // the D-TLB outcome — the one scheme-invariant piece of a data access
-// (the L1D and L2 are resizable and must be simulated live on replay).
+// (the L1D and L2 are resizable and must be simulated live on replay,
+// which is ReplayData, the rest of this access).
 func (m *Machine) Data(wordAddr uint64, write bool) (tlbMiss bool) {
-	addr := wordAddr * 8
+	addr := wordAddr << wordShift
 	if !m.DTLB.Access(addr) {
 		m.Timing.TLBMiss()
 		tlbMiss = true
 	}
-	m.ML1D.Access()
-	r := m.L1D.Access(addr, write)
-	if r.Writeback {
-		m.l2Access(r.WritebackAddr, true)
-	}
-	if !r.Hit {
-		m.Timing.L1Miss()
-		m.l2Access(addr, false)
-	}
+	m.ReplayData(wordAddr, write)
 	return tlbMiss
 }
 
-// ReplayData applies a recorded data access: the D-TLB outcome charges
-// the timing model from the recorded bit, while the resizable L1D and
-// L2 — whose behavior depends on the scheme under replay — simulate
-// live, writebacks included.
-func (m *Machine) ReplayData(wordAddr uint64, write, tlbMiss bool) {
-	addr := wordAddr * 8
-	if tlbMiss {
-		m.Timing.TLBMiss()
-	}
+// ReplayData applies one recorded data access whose D-TLB outcome is
+// charged separately (ChargeDataTLBMisses): the resizable L1D and L2 —
+// whose behavior depends on the scheme under replay — simulate live,
+// writebacks included. It takes any word address; runs of accesses
+// whose operands fit 32 bits go through ReplayDataWords instead.
+func (m *Machine) ReplayData(wordAddr uint64, write bool) {
+	addr := wordAddr << wordShift
 	m.ML1D.Access()
-	r := m.L1D.Access(addr, write)
+	m.l1dResult(addr, m.L1D.Access(addr, write))
+}
+
+// ReplayDataWords applies a run of recorded data accesses whose D-TLB
+// outcomes are charged separately, each operand a word address shifted
+// left once with the write flag in bit 0. It is exactly one ReplayData
+// per operand, in order. The L1D meter takes the whole run in one
+// AccessRepeat, bit-exact with one Access per operand, and no other
+// L1D-meter charge can fall between two of them (a miss charges only
+// the L2 meter and the timing model). The cache walks the operands in
+// one loop (cache.Cache.AccessWords) and hands back each miss, whose
+// L2 traffic and stall apply here before the walk resumes.
+func (m *Machine) ReplayDataWords(ds []uint32) {
+	m.ML1D.AccessRepeat(uint64(len(ds)))
+	for len(ds) > 0 {
+		n, r := m.L1D.AccessWords(ds, wordShift)
+		if !r.Hit {
+			m.l1dResult(uint64(ds[n-1]>>1)<<wordShift, r)
+		}
+		ds = ds[n:]
+	}
+}
+
+// l1dResult propagates an L1D access's outcome at byte address addr
+// to the L2: a dirty victim's writeback first, then the miss's stall
+// and refill read.
+func (m *Machine) l1dResult(addr uint64, r cache.Result) {
 	if r.Writeback {
 		m.l2Access(r.WritebackAddr, true)
 	}

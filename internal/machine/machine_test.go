@@ -2,6 +2,8 @@ package machine
 
 import (
 	"testing"
+
+	"acedo/internal/program"
 )
 
 func newMach(t *testing.T) *Machine {
@@ -70,9 +72,39 @@ func TestDataMissGoesToL2(t *testing.T) {
 	}
 }
 
+// blockLines returns the sealed L1I line range of a block of instrs
+// instructions at global pc: the sealer computes it, padding the
+// method with a leading block of pc nops.
+func blockLines(t *testing.T, pc, instrs int) (first, last uint64) {
+	t.Helper()
+	b := program.NewBuilder("lines")
+	m := b.NewMethod("main")
+	if pc > 0 {
+		pad := m.NewBlock()
+		for i := 0; i < pc; i++ {
+			pad.Nop()
+		}
+	}
+	blk := m.NewBlock()
+	for i := 1; i < instrs; i++ {
+		blk.Nop()
+	}
+	blk.Halt()
+	b.SetEntry(m.ID())
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := p.Methods[0].Blocks
+	if got := blocks[len(blocks)-1].PC; got != uint64(pc) {
+		t.Fatalf("block sealed at pc %d, want %d", got, pc)
+	}
+	return blocks[len(blocks)-1].FirstLine, blocks[len(blocks)-1].LastLine
+}
+
 func TestFetchUsesSeparateAddressSpace(t *testing.T) {
 	m := newMach(t)
-	m.Fetch(0, 1)
+	m.FetchLines(blockLines(t, 0, 1))
 	m.Data(0, false)
 	// Both miss to L2 but must occupy different L2 blocks.
 	if m.L2.Stats().Accesses != 2 || m.L2.Stats().Misses != 2 {
@@ -85,7 +117,8 @@ func TestFetchLongBlockWalksEveryLine(t *testing.T) {
 	// instruction block starting at a line boundary spans 3 lines and
 	// must pay 3 L1I accesses and (cold) 3 misses — not 1 of each.
 	m := newMach(t)
-	m.Fetch(0, 40)
+	first, last := blockLines(t, 0, 40)
+	m.FetchLines(first, last)
 	if got := m.L1I.Stats().Accesses; got != 3 {
 		t.Errorf("L1I accesses for 40-instr block = %d, want 3", got)
 	}
@@ -93,7 +126,7 @@ func TestFetchLongBlockWalksEveryLine(t *testing.T) {
 		t.Errorf("L1I misses for cold 40-instr block = %d, want 3", got)
 	}
 	// Re-fetching the same block hits all 3 lines.
-	m.Fetch(0, 40)
+	m.FetchLines(first, last)
 	if got := m.L1I.Stats().Accesses; got != 6 {
 		t.Errorf("L1I accesses after refetch = %d, want 6", got)
 	}
@@ -107,13 +140,13 @@ func TestFetchUnalignedBlockLineRange(t *testing.T) {
 	// bytes [60, 128): 2 lines even though it is barely longer than
 	// one line's worth of instructions.
 	m := newMach(t)
-	m.Fetch(15, 17)
+	m.FetchLines(blockLines(t, 15, 17))
 	if got := m.L1I.Stats().Accesses; got != 2 {
 		t.Errorf("L1I accesses for unaligned block = %d, want 2", got)
 	}
 	// A short block touches exactly one line.
 	m2 := newMach(t)
-	m2.Fetch(3, 12) // bytes [12, 60): one line
+	m2.FetchLines(blockLines(t, 3, 12)) // bytes [12, 60): one line
 	if got := m2.L1I.Stats().Accesses; got != 1 {
 		t.Errorf("L1I accesses for short block = %d, want 1", got)
 	}

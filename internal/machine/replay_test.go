@@ -42,16 +42,32 @@ func TestReplayMatchesDirect(t *testing.T) {
 		branches = append(branches, branch{direct.CondBranch(uint64(i*64), i%2 == 0)})
 	}
 
+	// Each block's five accesses replay as one ReplayDataWords run,
+	// but the last block's as single ReplayData calls, and the D-TLB
+	// misses are charged apart from the cache walk.
 	replay := newMach(t)
 	di, bi := 0, 0
 	for i, f := range fetches {
 		replay.ReplayFetchLines(f.first, f.last, f.tlbMask, f.missMask)
 		replay.IssueBatch(uint64(10 + i))
+		var run []uint32
 		for j := 0; j < 5; j++ {
 			d := datas[di]
 			di++
-			replay.ReplayData(d.addr, d.write, d.tlbMiss)
+			if d.tlbMiss {
+				replay.ChargeDataTLBMisses(1)
+			}
+			if i == len(fetches)-1 {
+				replay.ReplayData(d.addr, d.write)
+				continue
+			}
+			op := uint32(d.addr) << 1
+			if d.write {
+				op |= 1
+			}
+			run = append(run, op)
 		}
+		replay.ReplayDataWords(run)
 		if !branches[bi].correct {
 			replay.ChargeMispredicts(1)
 		}

@@ -39,7 +39,7 @@ type Block struct {
 
 	// FirstLine and LastLine are the byte addresses of the first and
 	// last L1I cache lines the block's instructions occupy, computed
-	// by Seal so machine.Fetch does not re-derive them on every
+	// by Seal so machine.FetchLines takes them as they are on every
 	// block entry.
 	FirstLine, LastLine uint64
 }

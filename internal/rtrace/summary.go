@@ -2,8 +2,8 @@
 // body events (data accesses, retire batches, branch verdicts, D-TLB
 // outcomes) into one pre-aggregated op. Replays walk that op stream:
 // single-access bodies (the overwhelming case in the suite's workloads)
-// apply as one direct data access, and multi-access bodies replay their
-// access list in order.
+// join their run's batch of data accesses, and multi-access bodies
+// replay their access list in order.
 //
 // Replay cost is meant to scale with the trace's data accesses, the
 // live cache simulation that is the real work, and not with its op or
@@ -30,7 +30,10 @@
 //     retire batch, mispredicts, D-TLB misses and data count — closed
 //     by the next boundary op, whose shape index the run keeps. Every
 //     replay walks runs: the run's data operands in order, four bulk
-//     charges, then the boundary op.
+//     charges, then the boundary op. A run's operands are contiguous
+//     in the operand stream, so each slice of them goes through the
+//     L1D model in one loop (machine.ReplayDataWords): one L1D meter
+//     charge per slice, and only misses leave the loop for the L2.
 //
 // Both streams are lists of fixed-size segments (shapeSeg,
 // operandSeg), so the recorder appends a fresh segment when the
@@ -730,8 +733,9 @@ type shapeCursor struct{ si, k int }
 // with one add per event regardless of call granularity), and the
 // merged sampler poll delivers the same samples to the same frame
 // stack (vm.AOS.sampleDueN covers the contiguous retire range
-// identically however it is subdivided). Data accesses still apply one
-// at a time, in order — only their surrounding arithmetic is batched.
+// identically however it is subdivided). Data accesses apply in
+// order, each exactly as one access would; a run's operand slice goes
+// to machine.ReplayDataWords in one call.
 // The boundary op then takes the exact per-op path, so AOS hooks and
 // reconfigurations observe the same machine state as an op-by-op walk.
 //
@@ -762,9 +766,7 @@ func (w *sumWalker) walk() error {
 		}
 		for n := r.nData; n > 0; {
 			ds := cur.take(n)
-			for _, d := range ds {
-				mach.ReplayData(uint64(d>>1), d&1 != 0, false)
-			}
+			mach.ReplayDataWords(ds)
 			n -= uint64(len(ds))
 		}
 		if r.lines != 0 {
@@ -907,7 +909,10 @@ func (w *sumWalker) applyOp(sh *opShape, o uint32) error {
 	}
 
 	if sh.w&opDataBit != 0 {
-		mach.ReplayData(uint64(o>>1), o&1 != 0, sh.w>>opTLBShift&1 != 0)
+		mach.ReplayData(uint64(o>>1), o&1 != 0)
+		if sh.w>>opTLBShift&1 != 0 {
+			mach.ChargeDataTLBMisses(1)
+		}
 	}
 	if batch := sh.w >> opBatchShift; batch != 0 {
 		mach.IssueBatch(batch)
@@ -998,7 +1003,7 @@ func (w *sumWalker) applyExt(kind uint64, x *sumExt) error {
 	}
 
 	for _, d := range w.s.data[x.dataOff : x.dataOff+x.nData] {
-		mach.ReplayData(d>>1, d&1 != 0, false)
+		mach.ReplayData(d>>1, d&1 != 0)
 	}
 	if x.dtlb != 0 {
 		mach.ChargeDataTLBMisses(uint64(x.dtlb))

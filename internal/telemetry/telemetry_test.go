@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"acedo/internal/isa"
 	"acedo/internal/machine"
 )
 
@@ -126,7 +127,8 @@ func TestSamplerEmitsPerInterval(t *testing.T) {
 	// block-grain notifications, mimicking the engine.
 	const blocks, perBlock = 2500, 4
 	for i := 0; i < blocks; i++ {
-		m.Fetch(uint64(i%32)*4, perBlock)
+		line := (isa.IBase + uint64(i%32)*4*isa.InstrBytes) &^ (isa.ILineBytes - 1)
+		m.FetchLines(line, line) // a 4-instruction block at pc 4k sits in one line
 		m.Issue(perBlock)
 		s.OnBlock(uint64(i%32)*4, perBlock)
 	}
