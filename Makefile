@@ -74,7 +74,7 @@ bench-compare:
 # suite's schema-stable snapshot must be byte-identical whether the
 # schemes replay a recorded trace or execute directly, with and
 # without a deterministic fault plan, and so must the phase-detector
-# comparison table (scripts/replay_check.sh).
+# comparison and three-CU tables (scripts/replay_check.sh).
 replay-check:
 	sh scripts/replay_check.sh
 

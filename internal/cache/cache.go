@@ -214,24 +214,18 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 }
 
 // AccessWords is the batched form of Access for a run of data
-// accesses: each operand d is a word address shifted left once with
-// the write flag in bit 0, at byte address (d>>1)<<wordShift. It
-// applies the operands in order and stops after the first miss,
-// returning how many it consumed and the last one's Result — Hit when
-// every operand hit, otherwise the miss with its dirty eviction, which
-// the caller propagates before it resumes on the rest of ds. Every
-// consumed operand changes the cache and its stats exactly as one
-// Access would; hits keep the LRU clock and the hit count in locals,
-// and an operand in the block its predecessor hit skips the probe.
-// wordShift must not exceed the cache's block shift.
-func (c *Cache) AccessWords(ds []uint32, wordShift uint) (int, Result) {
-	// One shift takes d to its block address, (d>>1)<<wordShift >>
-	// blockShift; masking the count spares the compiler's guard for
-	// counts past 63, which cannot occur.
-	if wordShift > c.blockShift {
-		panic(fmt.Sprintf("cache %s: words of 1<<%d bytes exceed its blocks", c.name, wordShift))
-	}
-	lines, ways, mask, shift := c.lines, c.ways, c.setMask, (c.blockShift+1-wordShift)&63
+// accesses: each operand d is a block address of this cache (a byte
+// address shifted right by its block shift) shifted left once, with
+// the write flag in bit 0. It applies the operands in order and stops
+// after the first miss, returning how many it consumed and the last
+// one's Result — Hit when every operand hit, otherwise the miss with
+// its dirty eviction, which the caller propagates before it resumes on
+// the rest of ds. Every consumed operand changes the cache and its
+// stats exactly as one Access to an address in its block would; hits
+// keep the LRU clock and the hit count in locals, and an operand in
+// the block its predecessor hit skips the probe.
+func (c *Cache) AccessWords(ds []uint16) (int, Result) {
+	lines, ways, mask := c.lines, c.ways, c.setMask
 	tick, hits := c.useTick, c.stats.Hits
 	// last is the block the previous operand hit, at line lw: only a
 	// miss evicts, and a miss ends the loop, so an operand in the same
@@ -239,7 +233,7 @@ func (c *Cache) AccessWords(ds []uint32, wordShift uint) (int, Result) {
 	last, lw := ^uint64(0), 0
 	for i, d := range ds {
 		tick++
-		blockAddr := uint64(d) >> shift
+		blockAddr := uint64(d >> 1)
 		if blockAddr != last {
 			base := int(blockAddr&mask) * ways
 			w := probe(lines, base, ways, blockAddr)

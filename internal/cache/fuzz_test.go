@@ -63,13 +63,14 @@ func FuzzCacheVsReference(f *testing.F) {
 }
 
 // FuzzAccessWords checks the batched kernel against the one-access
-// path: random operand batches of reads and writes go through
-// AccessWords on one cache and one Access per operand on a twin, for
-// every associativity the configuration search uses plus 16-way, with
-// random resizes between batches; half the operands stay in their
-// predecessor's block. After each batch the two must agree
-// on stats, the LRU clock, every set's lines (tags, last use, dirty
-// bits), and each miss's Result, in order.
+// path: random batches of block operands, reads and writes, go through
+// AccessWords on one cache and one Access per operand, at a random
+// byte address in the operand's block, on a twin, for every
+// associativity the configuration search uses plus 16-way, with random
+// resizes between batches; half the operands stay in their
+// predecessor's block. After each batch the two must agree on stats,
+// the LRU clock, every set's lines (tags, last use, dirty bits), and
+// each miss's Result, in order.
 func FuzzAccessWords(f *testing.F) {
 	for _, seed := range []int64{1, 7, 2024} {
 		f.Add(seed)
@@ -80,9 +81,9 @@ func FuzzAccessWords(f *testing.F) {
 			sizes := []int{4 * ways * 64, 8 * ways * 64, 16 * ways * 64, 32 * ways * 64}
 			c := MustNew("kernel", sizes[3], 64, ways)
 			twin := MustNew("twin", sizes[3], 64, ways)
-			// Three times the largest capacity in words, so
+			// Three times the largest capacity in blocks, so
 			// batches mix hits, clean and dirty evictions.
-			span := 3 * 32 * ways * 8
+			span := 3 * 32 * ways
 			for batch := 0; batch < 100; batch++ {
 				if rng.Intn(8) == 0 {
 					size := sizes[rng.Intn(len(sizes))]
@@ -94,21 +95,20 @@ func FuzzAccessWords(f *testing.F) {
 						t.Fatalf("%d-way resize: %d writebacks, twin %d", ways, wb, twb)
 					}
 				}
-				ds := make([]uint32, rng.Intn(48))
+				ds := make([]uint16, rng.Intn(48))
 				for i := range ds {
-					word := rng.Intn(span)
+					block := rng.Intn(span)
 					if i > 0 && rng.Intn(2) == 0 {
-						// The previous operand's 64-byte block.
-						word = int(ds[i-1]>>1) ^ rng.Intn(8)
+						block = int(ds[i-1] >> 1)
 					}
-					ds[i] = uint32(word) << 1
+					ds[i] = uint16(block) << 1
 					if rng.Intn(3) == 0 {
 						ds[i] |= 1
 					}
 				}
 				var got, want []Result
 				for rest := ds; len(rest) > 0; {
-					n, r := c.AccessWords(rest, 3)
+					n, r := c.AccessWords(rest)
 					if n < 1 || n > len(rest) || r.Hit && n != len(rest) {
 						t.Fatalf("%d-way batch %d: consumed %d of %d, hit %v", ways, batch, n, len(rest), r.Hit)
 					}
@@ -118,7 +118,8 @@ func FuzzAccessWords(f *testing.F) {
 					rest = rest[n:]
 				}
 				for _, d := range ds {
-					if r := twin.Access(uint64(d>>1)<<3, d&1 != 0); !r.Hit {
+					addr := uint64(d>>1)<<6 | uint64(rng.Intn(64))
+					if r := twin.Access(addr, d&1 != 0); !r.Hit {
 						want = append(want, r)
 					}
 				}

@@ -88,9 +88,6 @@ func NewTLB(name string, entries, pageBytes int) *TLB {
 // Name returns the TLB's name.
 func (t *TLB) Name() string { return t.name }
 
-// Entries returns the TLB capacity.
-func (t *TLB) Entries() int { return t.capacity }
-
 // Stats returns a copy of the event counters.
 func (t *TLB) Stats() TLBStats { return t.stats }
 

@@ -17,8 +17,21 @@ import "fmt"
 const NumRegs = 32
 
 // WordBytes is the size in bytes of one memory word as seen by the
-// cache hierarchy.
-const WordBytes = 8
+// cache hierarchy; WordShift is its log2.
+const (
+	WordShift = 3
+	WordBytes = 1 << WordShift
+)
+
+// Data-side block geometry: the L1D's block holds DBlockBytes bytes
+// (DBlockShift is its log2). machine.New builds the L1D with it, and a
+// recorded trace stores each data access as the index of its block,
+// which every replayed data cache (the L1D, and the L2 at a coarser
+// block) resolves to the same set and tag as the full address.
+const (
+	DBlockShift = 6
+	DBlockBytes = 1 << DBlockShift
+)
 
 // Instruction address-space geometry, shared by the program sealer
 // (which precomputes each block's I-cache line range at Seal) and the

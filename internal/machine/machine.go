@@ -101,7 +101,6 @@ type Machine struct {
 	Pred   *cpu.Predictor
 	Timing *cpu.Timing
 
-	ML1I *power.Meter
 	ML1D *power.Meter
 	ML2  *power.Meter
 	MIQ  *power.Meter // nil unless the IQ unit is enabled
@@ -175,7 +174,7 @@ func ValidateConfig(cfg Config) error {
 		return fmt.Errorf("machine: missing cache size lists")
 	}
 	l1dWays, l2Ways := cfg.ways()
-	if err := validLadder("L1D", cfg.L1DSizes, 64, l1dWays); err != nil {
+	if err := validLadder("L1D", cfg.L1DSizes, isa.DBlockBytes, l1dWays); err != nil {
 		return err
 	}
 	return validLadder("L2", cfg.L2Sizes, 128, l2Ways)
@@ -196,7 +195,7 @@ func New(cfg Config) (*Machine, error) {
 	if m.L1I, err = cache.New("L1I", cfg.L1ISize, 64, 2); err != nil {
 		return nil, err
 	}
-	if m.L1D, err = cache.New("L1D", maxL1D, 64, l1dWays); err != nil {
+	if m.L1D, err = cache.New("L1D", maxL1D, isa.DBlockBytes, l1dWays); err != nil {
 		return nil, err
 	}
 	if m.L2, err = cache.New("L2", maxL2, 128, l2Ways); err != nil {
@@ -207,9 +206,6 @@ func New(cfg Config) (*Machine, error) {
 	m.Pred = cpu.NewPredictor()
 	m.Timing = cpu.NewTiming(cfg.Timing)
 
-	if m.ML1I, err = power.NewMeter(power.L1Model("L1I"), cfg.L1ISize); err != nil {
-		return nil, err
-	}
 	if m.ML1D, err = power.NewMeter(power.L1Model("L1D"), maxL1D); err != nil {
 		return nil, err
 	}
@@ -418,7 +414,6 @@ func (m *Machine) FetchLines(first, last uint64) (tlbMask, missMask uint64, ok b
 			m.Timing.TLBMiss()
 			tlbMask |= 1 << i
 		}
-		m.ML1I.Access()
 		r := m.L1I.Access(addr, false)
 		if r.Writeback {
 			m.l2Access(r.WritebackAddr, true)
@@ -447,7 +442,6 @@ func (m *Machine) ReplayFetchLines(first, last, tlbMask, missMask uint64) {
 		if tlbMask&(1<<i) != 0 {
 			m.Timing.TLBMiss()
 		}
-		m.ML1I.Access()
 		if missMask&(1<<i) != 0 {
 			m.Timing.L1Miss()
 			m.l2Access(addr, false)
@@ -461,7 +455,7 @@ func (m *Machine) ReplayFetchLines(first, last, tlbMask, missMask uint64) {
 
 // wordShift converts the engine's word addresses (8-byte words) to
 // byte addresses.
-const wordShift = 3
+const wordShift = isa.WordShift
 
 // Data simulates a data access to the given word address and reports
 // the D-TLB outcome — the one scheme-invariant piece of a data access
@@ -481,7 +475,7 @@ func (m *Machine) Data(wordAddr uint64, write bool) (tlbMiss bool) {
 // charged separately (ChargeDataTLBMisses): the resizable L1D and L2 —
 // whose behavior depends on the scheme under replay — simulate live,
 // writebacks included. It takes any word address; runs of accesses
-// whose operands fit 32 bits go through ReplayDataWords instead.
+// whose blocks fit a 16-bit operand go through ReplayDataWords instead.
 func (m *Machine) ReplayData(wordAddr uint64, write bool) {
 	addr := wordAddr << wordShift
 	m.ML1D.Access()
@@ -489,20 +483,23 @@ func (m *Machine) ReplayData(wordAddr uint64, write bool) {
 }
 
 // ReplayDataWords applies a run of recorded data accesses whose D-TLB
-// outcomes are charged separately, each operand a word address shifted
-// left once with the write flag in bit 0. It is exactly one ReplayData
-// per operand, in order. The L1D meter takes the whole run in one
-// AccessRepeat, bit-exact with one Access per operand, and no other
-// L1D-meter charge can fall between two of them (a miss charges only
-// the L2 meter and the timing model). The cache walks the operands in
-// one loop (cache.Cache.AccessWords) and hands back each miss, whose
-// L2 traffic and stall apply here before the walk resumes.
-func (m *Machine) ReplayDataWords(ds []uint32) {
+// outcomes are charged separately, each operand the index of the
+// access's isa.DBlockBytes block shifted left once, with the write
+// flag in bit 0. It is exactly one ReplayData per operand, in order:
+// the L1D indexes at that block size and the L2 at a coarser one, so an
+// access anywhere in the block finds the same set and tag. The L1D
+// meter takes the whole run in one AccessRepeat, bit-exact with one
+// Access per operand, and no other L1D-meter charge can fall between
+// two of them (a miss charges only the L2 meter and the timing model).
+// The cache walks the operands in one loop (cache.Cache.AccessWords)
+// and hands back each miss, whose L2 traffic and stall apply here
+// before the walk resumes.
+func (m *Machine) ReplayDataWords(ds []uint16) {
 	m.ML1D.AccessRepeat(uint64(len(ds)))
 	for len(ds) > 0 {
-		n, r := m.L1D.AccessWords(ds, wordShift)
+		n, r := m.L1D.AccessWords(ds)
 		if !r.Hit {
-			m.l1dResult(uint64(ds[n-1]>>1)<<wordShift, r)
+			m.l1dResult(uint64(ds[n-1]>>1)<<isa.DBlockShift, r)
 		}
 		ds = ds[n:]
 	}
@@ -543,16 +540,11 @@ func (m *Machine) CondBranch(pc uint64, outcome bool) bool {
 }
 
 // ReplayFetchCharges applies the charges of a recorded fetch walk
-// whose miss mask is empty in bulk: per-line I-cache read energy and
-// I-TLB miss stalls. With no L1I miss there is no L2 traffic, so the
-// walk is pure arithmetic, and each bulk charge is bit-exact with the
-// per-line sequence (independent integer counters and repeated
-// identical-constant accumulation — see power.Meter.AccessRepeat and
-// cpu.Timing's N-variants).
-func (m *Machine) ReplayFetchCharges(lines, tlbMisses uint64) {
-	m.Timing.TLBMissN(tlbMisses)
-	m.ML1I.AccessRepeat(lines)
-}
+// whose miss mask is empty in bulk: its I-TLB miss stalls. With no
+// L1I miss there is no L2 traffic, so the walk is pure arithmetic, and
+// the bulk charge is bit-exact with the per-line sequence (cpu.Timing's
+// N-variants add integer counters).
+func (m *Machine) ReplayFetchCharges(tlbMisses uint64) { m.Timing.TLBMissN(tlbMisses) }
 
 // ChargeDataTLBMisses charges n recorded D-TLB misses in bulk — the
 // summarized replay's exact per-access path separates the (order-

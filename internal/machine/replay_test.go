@@ -3,6 +3,8 @@ package machine
 import (
 	"reflect"
 	"testing"
+
+	"acedo/internal/isa"
 )
 
 // TestReplayMatchesDirect: replaying the fixed-hardware outcomes that
@@ -42,15 +44,16 @@ func TestReplayMatchesDirect(t *testing.T) {
 		branches = append(branches, branch{direct.CondBranch(uint64(i*64), i%2 == 0)})
 	}
 
-	// Each block's five accesses replay as one ReplayDataWords run,
-	// but the last block's as single ReplayData calls, and the D-TLB
-	// misses are charged apart from the cache walk.
+	// Each block's five accesses replay as one ReplayDataWords run of
+	// block operands, but the last block's as single ReplayData calls
+	// at the full word address, and the D-TLB misses are charged apart
+	// from the cache walk.
 	replay := newMach(t)
 	di, bi := 0, 0
 	for i, f := range fetches {
 		replay.ReplayFetchLines(f.first, f.last, f.tlbMask, f.missMask)
 		replay.IssueBatch(uint64(10 + i))
-		var run []uint32
+		var run []uint16
 		for j := 0; j < 5; j++ {
 			d := datas[di]
 			di++
@@ -61,7 +64,7 @@ func TestReplayMatchesDirect(t *testing.T) {
 				replay.ReplayData(d.addr, d.write)
 				continue
 			}
-			op := uint32(d.addr) << 1
+			op := uint16(d.addr>>(isa.DBlockShift-isa.WordShift)) << 1
 			if d.write {
 				op |= 1
 			}

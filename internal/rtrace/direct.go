@@ -18,19 +18,12 @@ import (
 const summaryMaxMemBytes = 576 << 20
 
 // summaryMemBytes is the summary's resident size: the bytes allocated
-// for it, not the bytes in use — every stream segment in full, and the
-// capacity of the run, shape, ext and data tables.
+// for it, not the bytes in use — every segment of its streams and
+// tables in full, and the shape table's capacity.
 func summaryMemBytes(s *summary) int {
-	const (
-		shapeSegBytes = int(unsafe.Sizeof(shapeSeg{}))
-		opndSegBytes  = int(unsafe.Sizeof(operandSeg{}))
-		runBytes      = int(unsafe.Sizeof(sumRun{}))
-		shapeBytes    = int(unsafe.Sizeof(opShape{}))
-		extBytes      = int(unsafe.Sizeof(sumExt{}))
-	)
-	return len(s.shapeSegs)*shapeSegBytes + len(s.opndSegs)*opndSegBytes +
-		cap(s.runs)*runBytes + cap(s.shapes)*shapeBytes +
-		cap(s.ext)*extBytes + cap(s.data)*8
+	return s.ops.memBytes() + s.opnds.memBytes() + s.runs.memBytes() +
+		cap(s.shapes)*int(unsafe.Sizeof(opShape{})) +
+		s.ext.memBytes() + s.data.memBytes()
 }
 
 // MemBytes reports the trace's resident memory: its summary's shape

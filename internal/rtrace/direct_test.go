@@ -83,14 +83,20 @@ func measuredRecording(t *testing.T, bench string) (tr *Trace, allocated, live i
 	return tr, int64(after.TotalAlloc - before.TotalAlloc), int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }
 
+// suiteTruncation is the budget of the suite-wide tests' truncated
+// recordings: the smallest round budget at which every suite workload's
+// truncated trace has a run whose operands cross a segment boundary
+// (requireSegments); at 2 M instructions mpeg's has none.
+const suiteTruncation = 3_000_000
+
 // requireSegments fails unless s spans at least three shape segments
 // and some run's data operands straddle an operand-segment boundary, so
 // a differential test using it crosses segment boundaries both inside
 // the run walk's data loop and in listener replays.
 func requireSegments(t *testing.T, label string, s *summary) {
 	t.Helper()
-	if len(s.shapeSegs) < 3 {
-		t.Fatalf("%s: %d ops in %d shape segments, want at least 3 segments", label, s.n, len(s.shapeSegs))
+	if len(s.ops.segs) < 3 {
+		t.Fatalf("%s: %d ops in %d shape segments, want at least 3 segments", label, s.ops.n, len(s.ops.segs))
 	}
 	if !runStraddlesSegment(s) {
 		t.Fatalf("%s: no run's data operands cross an operand-segment boundary", label)
@@ -101,16 +107,26 @@ func requireSegments(t *testing.T, label string, s *summary) {
 // two operand segments.
 func runStraddlesSegment(s *summary) bool {
 	pos := 0 // the run's first operand
-	for _, r := range s.runs {
-		if r.nData > 1 && pos>>segShift != (pos+int(r.nData)-1)>>segShift {
-			return true
+	found := false
+	forEachRun(s, func(r sumRun) {
+		if r.nData > 1 && pos>>streamShift != (pos+int(r.nData)-1)>>streamShift {
+			found = true
 		}
 		pos += int(r.nData)
-		if s.shapes[r.shape].w&opOperandMask != 0 {
+		if s.shapes[r.shape].w&opDataBit != 0 {
 			pos++
 		}
+	})
+	return found
+}
+
+// forEachRun calls f with every run of s in order.
+func forEachRun(s *summary, f func(r sumRun)) {
+	for si := range s.runs.segs {
+		for _, r := range s.runs.seg(si) {
+			f(r)
+		}
 	}
-	return false
 }
 
 // blockLog folds every block-listener call into an order-sensitive
@@ -225,10 +241,10 @@ func checkProbes(t *testing.T, label string, prog *program.Program, tr *Trace, w
 // counters, L1D/L2 stats and LRU clocks, every set's content, and the
 // timing breakdown — both on the fused path and with a block listener,
 // which must also fire exactly as the recording run's did.
-// Every complete recording must also cost at most 6.5 bytes per op.
+// Every complete recording must also cost at most 4.5 bytes per op.
 func TestReplayMatchesRecording(t *testing.T) {
 	for _, spec := range workload.Suite() {
-		for _, budget := range []uint64{0, 2_000_000} {
+		for _, budget := range []uint64{0, suiteTruncation} {
 			label := spec.Name
 			if budget != 0 {
 				label += "/truncated"
@@ -244,11 +260,11 @@ func TestReplayMatchesRecording(t *testing.T) {
 			s := tr.summaryFor(prog)
 			requireSegments(t, label, s)
 			// Format size: an op costs 2 bytes of shape stream plus
-			// 4 of operand when it has a data access or ext record
-			// (74-92% of a suite trace's ops); runs, the shape and side
-			// tables and the segments' slack must fit the rest.
-			if mem := tr.MemBytes(); budget == 0 && 2*mem > 13*s.n {
-				t.Errorf("%s: MemBytes %d for %d ops (%.2f bytes/op), want <= 6.5", label, mem, s.n, float64(mem)/float64(s.n))
+			// 2 of operand when it has a packed data access (74-92%
+			// of a suite trace's ops); runs, the shape and side tables
+			// and the segments' slack must fit the rest.
+			if mem := tr.MemBytes(); budget == 0 && 2*mem > 9*s.ops.n {
+				t.Errorf("%s: MemBytes %d for %d ops (%.2f bytes/op), want <= 4.5", label, mem, s.ops.n, float64(mem)/float64(s.ops.n))
 			}
 			want := machineState(mach)
 
@@ -282,46 +298,33 @@ func checkSameSummary(t *testing.T, label string, want, got *summary) {
 	if want == nil || got == nil {
 		t.Fatalf("%s: missing summary (want %v, got %v)", label, want != nil, got != nil)
 	}
-	if got.n != want.n || len(got.shapeSegs) != len(want.shapeSegs) {
-		t.Fatalf("%s: %d ops in %d segments, want %d in %d", label, got.n, len(got.shapeSegs), want.n, len(want.shapeSegs))
-	}
-	for si := range want.shapeSegs {
-		n := min(segOps, want.n-si<<segShift)
-		if *want.shapeSegs[si] != *got.shapeSegs[si] {
-			for j := 0; j < n; j++ {
-				if w, g := want.shapeSegs[si][j], got.shapeSegs[si][j]; w != g {
-					t.Fatalf("%s: op %d's shape differs: got %d, want %d", label, si<<segShift+j, g, w)
-				}
-			}
-		}
-	}
-	if got.nOpnd != want.nOpnd || len(got.opndSegs) != len(want.opndSegs) {
-		t.Fatalf("%s: %d operands in %d segments, want %d in %d", label, got.nOpnd, len(got.opndSegs), want.nOpnd, len(want.opndSegs))
-	}
-	for si := range want.opndSegs {
-		n := min(segOps, want.nOpnd-si<<segShift)
-		if *want.opndSegs[si] != *got.opndSegs[si] {
-			for j := 0; j < n; j++ {
-				if w, g := want.opndSegs[si][j], got.opndSegs[si][j]; w != g {
-					t.Fatalf("%s: operand %d differs: got %#x, want %#x", label, si<<segShift+j, g, w)
-				}
-			}
-		}
-	}
-	if !reflect.DeepEqual(got.runs, want.runs) {
-		t.Errorf("%s: runs differ (%d vs %d runs)", label, len(got.runs), len(want.runs))
-	}
+	checkSameSeq(t, label+": shape stream", &want.ops, &got.ops)
+	checkSameSeq(t, label+": operand stream", &want.opnds, &got.opnds)
+	checkSameSeq(t, label+": runs", &want.runs, &got.runs)
+	checkSameSeq(t, label+": ext records", &want.ext, &got.ext)
+	checkSameSeq(t, label+": ext accesses", &want.data, &got.data)
 	if !reflect.DeepEqual(got.shapes, want.shapes) {
 		t.Errorf("%s: shape table differs (%d vs %d shapes)", label, len(got.shapes), len(want.shapes))
 	}
-	if !reflect.DeepEqual(got.ext, want.ext) {
-		t.Errorf("%s: ext table differs (%d vs %d records)", label, len(got.ext), len(want.ext))
-	}
-	if !reflect.DeepEqual(got.data, want.data) {
-		t.Errorf("%s: data table differs (%d vs %d accesses)", label, len(got.data), len(want.data))
-	}
 	if got.progSig != want.progSig {
 		t.Errorf("%s: progSig %#x, want %#x", label, got.progSig, want.progSig)
+	}
+}
+
+// checkSameSeq fails unless two lists hold the same entries in the
+// same segmentation, naming the first entry that differs.
+func checkSameSeq[T comparable](t *testing.T, label string, want, got *seq[T]) {
+	t.Helper()
+	if got.n != want.n || len(got.segs) != len(want.segs) {
+		t.Fatalf("%s: %d entries in %d segments, want %d in %d", label, got.n, len(got.segs), want.n, len(want.segs))
+	}
+	for si := range want.segs {
+		g := got.seg(si)
+		for j, w := range want.seg(si) {
+			if g[j] != w {
+				t.Fatalf("%s: entry %d differs: got %+v, want %+v", label, si<<want.shift+j, g[j], w)
+			}
+		}
 	}
 }
 
@@ -333,7 +336,7 @@ func checkSameSummary(t *testing.T, label string, want, got *summary) {
 // event count and truncation flag.
 func TestDirectSummaryOpIdentical(t *testing.T) {
 	for _, spec := range workload.Suite() {
-		for _, budget := range []uint64{0, 2_000_000} {
+		for _, budget := range []uint64{0, suiteTruncation} {
 			label := spec.Name
 			if budget != 0 {
 				label += "/truncated"
@@ -491,7 +494,7 @@ func TestDirectTraceMemBytes(t *testing.T) {
 // within one operand segment.
 func TestMemBytesChargesAllocation(t *testing.T) {
 	tr, _, live := measuredRecording(t, "compress")
-	const segBytes = int64(unsafe.Sizeof(operandSeg{}))
+	const segBytes = int64(unsafe.Sizeof(uint16(0))) << streamShift
 	mem := int64(tr.MemBytes())
 	if d := live - mem; d > segBytes || d < -segBytes {
 		t.Errorf("MemBytes = %d, live heap after recording = %d: off by %d, want within one segment (%d)", mem, live, d, segBytes)

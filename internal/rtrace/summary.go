@@ -22,29 +22,37 @@
 //     a run's block ops by shape and hand the counts to the listener in
 //     bulk, and walk op by op only the runs in which the listener's
 //     next interval bound (vm.BlockListener's Due) falls.
-//   - The operand stream: four bytes per op whose shape has the data or
-//     ext bit — the body's single data access (wordAddr<<1|write) or
-//     an ext-table index.
+//   - The operand stream: two bytes per op whose shape has the data
+//     bit — the body's single data access as the index of its
+//     isa.DBlockBytes data block, shifted left once, with the write
+//     flag in bit 0. Every data cache a replay drives indexes at that
+//     block size or a coarser one, and the D-TLB outcome is recorded
+//     in the shape, so the word within the block is never needed. A
+//     block index past 15 bits (data beyond 2 MB) makes the op an ext
+//     record, which keeps the full address.
 //   - Runs: the recorder folds each straight-line stretch of foldable
-//     ops (opSeq/opBlock, packed) into one record as it goes — I-lines,
-//     retire batch, mispredicts, D-TLB misses and data count — closed
-//     by the next boundary op, whose shape index the run keeps. Every
-//     replay walks runs: the run's data operands in order, four bulk
-//     charges, then the boundary op. A run's operands are contiguous
-//     in the operand stream, so each slice of them goes through the
-//     L1D model in one loop (machine.ReplayDataWords): one L1D meter
-//     charge per slice, and only misses leave the loop for the L2.
+//     ops (opSeq/opBlock, packed) into one record as it goes — retire
+//     batch, mispredicts, D-TLB misses and data count — closed by the
+//     next boundary op, whose shape index the run keeps. Every replay
+//     walks runs: the run's data operands in order, three bulk charges,
+//     then the boundary op. A run's operands are contiguous in the
+//     operand stream, so each slice of them goes through the L1D model
+//     in one loop (machine.ReplayDataWords): one L1D meter charge per
+//     slice, and only misses leave the loop for the L2.
 //
-// Both streams are lists of fixed-size segments (shapeSeg,
-// operandSeg), so the recorder appends a fresh segment when the
+// Every stream and table but the shape table is a seq, a list of
+// fixed-size segments, so the recorder appends a fresh segment when the
 // current one fills and never copies: a trace carries at most one
-// partly filled segment of slack per stream, and no recording needs its
+// partly filled segment of slack per list, and no recording needs its
 // length known up front. The common case (an intra-method block entry
-// with a short retire batch and at most one data access whose address
+// with a short retire batch and at most one data access whose block
 // fits the operand) packs into its shape; everything rare — method
-// entries, masked fetch walks, multi-access bodies, wide addresses or
-// counts — overflows into a fat side table consulted only when an op's
-// shape has the ext bit set.
+// entries, masked fetch walks, multi-access bodies, wide block indices
+// or counts — overflows into a fat side table of ext records, with
+// their accesses in a flat data table. An ext op carries no operand:
+// every ext op closes a run, and every walk applies each run's boundary
+// op exactly once in stream order, so ext records and their accesses
+// are read by position.
 package rtrace
 
 import (
@@ -75,18 +83,16 @@ const (
 // Shape bit layout of opShape.w. Any op whose fields do not fit (and
 // every opEnter, masked fetch, or multi-access body) is stored as an
 // ext record instead: its shape is just the kind with opExtBit set,
-// and its operand is the summary.ext index.
+// and it has no operand (ext records are read by position).
 const (
 	opKindBits = 3
 	opExtBit   = 1 << 3
 
-	opLinesShift = 4       // 6 bits: I-lines in the fetch walk
-	opDataBit    = 1 << 10 // the body's single data access is the operand
-	opTLBShift   = 11      // 1 bit: ... and it missed the D-TLB
-	opBrShift    = 12      // 8 bits: body branch mispredictions
-	opBatchShift = 20      // 19 bits: body retired-instruction total
+	opDataBit    = 1 << 4 // the body's single data access is the operand
+	opTLBShift   = 5      // 1 bit: ... and it missed the D-TLB
+	opBrShift    = 6      // 8 bits: body branch mispredictions
+	opBatchShift = 14     // 19 bits: body retired-instruction total
 
-	opLinesMax = 1<<6 - 1
 	opBrMax    = 1<<8 - 1
 	opBatchMax = 1<<19 - 1
 	opInstrMax = 1<<8 - 1 // block instr count packable into the pc word
@@ -97,10 +103,20 @@ const (
 	// the full-width pc.
 	maxPackedPC = 1<<24 - 1
 
-	// maxOperand bounds a packed op's data access (wordAddr<<1 |
-	// write): it must fit one operand-stream entry.
-	maxOperand = 1<<32 - 1
+	// blockWordShift takes a word address to its data block's index.
+	blockWordShift = isa.DBlockShift - isa.WordShift
+	// maxOperand bounds a packed op's data access (a body access,
+	// wordAddr<<1 | write): its block index must fit the 15 bits an
+	// operand-stream entry leaves beside the write flag.
+	maxOperand = 1<<(15+blockWordShift+1) - 1
 )
+
+// blockOperand returns the operand-stream entry of a body access
+// (wordAddr<<1 | write) within maxOperand: its data block's index
+// shifted left once, the write flag in bit 0.
+func blockOperand(d uint64) uint16 {
+	return uint16(d>>(blockWordShift+1)<<1 | d&1)
+}
 
 // opShape is one distinct packed op: w holds the kind and the
 // bit-fields above, pc the block's pc<<8 | nInstrs (0 when no block is
@@ -110,32 +126,19 @@ type opShape struct {
 	pc uint32
 }
 
-// opOperandMask selects the shapes whose op carries an operand: a
-// packed data access or an ext-table index.
-const opOperandMask = opExtBit | opDataBit
-
 // maxShapes caps a trace's shape table at what a shape-stream entry
 // can index.
 const maxShapes = 1 << 16
 
-// Stream segmentation: segOps entries per segment. Op i's shape index
-// lives at offset i&segMask of shape segment i>>segShift (128 KiB per
-// segment); the operand stream is cut the same way over its own count
-// (256 KiB per segment).
+// Segment sizes (seq shifts) of a summary's lists: 128 KiB segments
+// for the two streams, and a few hundred KiB at most of slack over all
+// the tables.
 const (
-	segShift = 16
-	segOps   = 1 << segShift
-	segMask  = segOps - 1
+	streamShift = 16 // ops and operands: 2 bytes each
+	runShift    = 12 // runs: 40 bytes each
+	extShift    = 10 // ext records: 64 bytes each
+	dataShift   = 12 // ext accesses: 8 bytes each
 )
-
-// shapeSeg is one fixed-size segment of the shape stream: each op's
-// index into summary.shapes. Every segment of a summary but the last
-// is full; the same holds for operandSeg.
-type shapeSeg [segOps]uint16
-
-// operandSeg is one fixed-size segment of the operand stream: one entry
-// per op whose shape has opOperandMask set, in op order.
-type operandSeg [segOps]uint32
 
 // sumRun is one run: the folded charges of a straight-line stretch of
 // foldable ops, and the shape of the boundary op that closes it. Its
@@ -144,7 +147,6 @@ type operandSeg [segOps]uint32
 // The counts are full-width so no run length can overflow them.
 type sumRun struct {
 	batch uint64 // retired instructions
-	lines uint64 // I-lines fetched (unmasked walks: no misses)
 	nData uint64 // single data accesses, each one operand
 	dtlb  uint64 // recorded D-TLB misses among them
 	br    uint64 // recorded branch mispredictions
@@ -155,14 +157,14 @@ type sumRun struct {
 // the method ID), masked fetch walks (which need the line range and
 // the recorded I-TLB/L1I outcome masks), and bodies whose counts
 // overflow the packed fields, and every body with two or more data
-// accesses or an access too wide for the operand.
+// accesses or an access too wide for the operand. Its accesses are the
+// next nData entries of summary.data.
 type sumExt struct {
 	firstLine uint64 // opEnter/opBlock: first I-line byte address
 	pc        uint64 // opEnter/opBlock: block's first-instruction index
 	batch     uint64 // body: total retired instructions
 	tlbMask   uint64 // fetch walk: recorded I-TLB miss mask
 	missMask  uint64 // fetch walk: recorded L1I miss mask
-	dataOff   uint32 // body: offset into summary.data
 	nData     uint32 // body: data access count
 	nInstrs   uint32 // opEnter/opBlock: block instruction count
 	dtlb      uint32 // body: recorded D-TLB misses
@@ -173,19 +175,17 @@ type sumExt struct {
 
 // summary is a recording resolved against its program: the shape and
 // operand streams, the runs, the shape table every op indexes, the
-// side table rare ops index into, and the flat data-access table for
-// ext bodies. Immutable once Finish seals it, and shared by every
-// concurrent replay of the trace.
+// ext records of the rare ops in op order, and the flat data-access
+// table of their bodies. Immutable once Finish seals it, and shared by
+// every concurrent replay of the trace.
 type summary struct {
-	shapeSegs []*shapeSeg
-	opndSegs  []*operandSeg
-	n         int // ops in the shape stream
-	nOpnd     int // entries in the operand stream
-	runs      []sumRun
-	shapes    []opShape
-	ext       []sumExt
-	data      []uint64 // wordAddr<<1 | write bit, in access order
-	progSig   uint64
+	ops     seq[uint16] // the shape stream: each op's summary.shapes index
+	opnds   seq[uint16] // the operand stream (blockOperand)
+	runs    seq[sumRun]
+	shapes  []opShape
+	ext     seq[sumExt]
+	data    seq[uint64] // ext accesses: wordAddr<<1 | write bit, in access order
+	progSig uint64
 }
 
 // iLine is the L1I line size the recorder computes fetch-walk ranges at
@@ -298,24 +298,29 @@ type shapeMemoSlot struct {
 // accumulate into open/body, emit() decides packed-vs-ext, and push()
 // appends the op to the streams and folds it into the open run.
 type sumBuilder struct {
-	s         *summary
-	prog      *program.Program
-	geo       [][]blkGeom // per method, per block: precomputed geometry
-	curGeo    []blkGeom   // geo of the current frame's method; nil outside
-	stack     []*program.Method
-	cur       *program.Method
-	open      opBuild
-	body      []uint64    // current op's data accesses, wordAddr<<1|write
-	tailShape *shapeSeg   // the shape stream's last segment, being filled
-	tailOpnd  *operandSeg // the operand stream's last segment
-	run       sumRun      // the open run (shape unset until it closes)
-	memo      [1 << shapeMemoBits]shapeMemoSlot
-	index     map[opShape]uint32 // every interned shape's table index
-	err       error              // shape table overflow; fails Finish
+	s      *summary
+	prog   *program.Program
+	geo    [][]blkGeom // per method, per block: precomputed geometry
+	curGeo []blkGeom   // geo of the current frame's method; nil outside
+	stack  []*program.Method
+	cur    *program.Method
+	open   opBuild
+	body   []uint64 // current op's data accesses, wordAddr<<1|write
+	run    sumRun   // the open run (shape unset until it closes)
+	memo   [1 << shapeMemoBits]shapeMemoSlot
+	index  map[opShape]uint32 // every interned shape's table index
+	err    error              // shape table overflow; fails Finish
 }
 
 func (b *sumBuilder) init(prog *program.Program) {
-	b.s = &summary{progSig: progSigOf(prog)}
+	b.s = &summary{
+		ops:     newSeq[uint16](streamShift),
+		opnds:   newSeq[uint16](streamShift),
+		runs:    newSeq[sumRun](runShift),
+		ext:     newSeq[sumExt](extShift),
+		data:    newSeq[uint64](dataShift),
+		progSig: progSigOf(prog),
+	}
 	b.prog = prog
 	b.open = opBuild{kind: opSeq, method: -1}
 	b.index = make(map[opShape]uint32)
@@ -329,7 +334,7 @@ func (b *sumBuilder) init(prog *program.Program) {
 			g.first = blk.FirstLine
 			g.pc = blk.PC
 			g.instrs = uint32(len(blk.Instrs))
-			g.esc = g.lines > opLinesMax || g.instrs > opInstrMax || g.pc > maxPackedPC
+			g.esc = g.instrs > opInstrMax || g.pc > maxPackedPC
 			if !g.esc {
 				g.pcWord = uint32(g.pc<<8 | uint64(g.instrs))
 			}
@@ -365,43 +370,28 @@ func (b *sumBuilder) intern(m *shapeMemoSlot, w uint64, pc uint32) bool {
 }
 
 // push commits one op: its interned shape index to the shape stream,
-// its operand (when the shape has one) to the operand stream — each
-// starting a fresh segment when its last one is full, so committed ops
-// never move — and its charges to the open run: a foldable op folds
-// into the run, a boundary op closes it. The direct-mapped memo
-// answers the shape lookup on the hot path; only a memo miss consults
-// the map.
-func (b *sumBuilder) push(w uint64, pc uint32, operand uint64) {
+// its operand (when the shape has the data bit) to the operand stream,
+// and its charges to the open run: a foldable op folds into the run, a
+// boundary op closes it. The direct-mapped memo answers the shape
+// lookup on the hot path; only a memo miss consults the map.
+func (b *sumBuilder) push(w uint64, pc uint32, operand uint16) {
 	m := &b.memo[((w^uint64(pc)<<40)*0x9E3779B97F4A7C15)>>(64-shapeMemoBits)]
 	if (m.w != w || m.pc != pc || m.idx == 0) && !b.intern(m, w, pc) {
 		return
 	}
 	idx := uint16(m.idx - 1)
 	s := b.s
-	k := s.n & segMask
-	if k == 0 {
-		b.tailShape = new(shapeSeg)
-		s.shapeSegs = append(s.shapeSegs, b.tailShape)
-	}
-	b.tailShape[k] = idx
-	s.n++
-	if w&opOperandMask != 0 {
-		k := s.nOpnd & segMask
-		if k == 0 {
-			b.tailOpnd = new(operandSeg)
-			s.opndSegs = append(s.opndSegs, b.tailOpnd)
-		}
-		b.tailOpnd[k] = uint32(operand)
-		s.nOpnd++
+	s.ops.add(idx)
+	if w&opDataBit != 0 {
+		s.opnds.add(operand)
 	}
 	r := &b.run
 	if w&opBoundaryMask != 0 {
 		r.shape = idx
-		s.runs = append(s.runs, *r)
+		s.runs.add(*r)
 		*r = sumRun{}
 		return
 	}
-	r.lines += w >> opLinesShift & opLinesMax
 	r.batch += w >> opBatchShift
 	r.br += w >> opBrShift & opBrMax
 	if w&opDataBit != 0 {
@@ -410,26 +400,10 @@ func (b *sumBuilder) push(w uint64, pc uint32, operand uint64) {
 	}
 }
 
-// growData ensures the data table can absorb the current body,
-// doubling (at least) on exhaustion.
-func (b *sumBuilder) growData(need int) {
-	c := 2 * cap(b.s.data)
-	if c < need {
-		c = need
-	}
-	if c < 1024 {
-		c = 1024
-	}
-	data := make([]uint64, len(b.s.data), c)
-	copy(data, b.s.data)
-	b.s.data = data
-}
-
 // packedW is the shape word of the open op with its at most one data
 // access (dtlb is then 0 or 1).
 func (o *opBuild) packedW(nData int) uint64 {
 	return uint64(o.kind) |
-		o.blkLines<<opLinesShift |
 		uint64(nData)*opDataBit |
 		uint64(o.dtlb)<<opTLBShift |
 		uint64(o.brWrong)<<opBrShift |
@@ -453,14 +427,14 @@ func (b *sumBuilder) emit() {
 		nInstrs, blkPC = 0, 0
 	}
 	ext := open.method >= 0 || open.tlbMask != 0 || open.missMask != 0 ||
-		blkLines > opLinesMax || nData > 1 || open.dtlb > nData ||
+		nData > 1 || open.dtlb > nData ||
 		open.brWrong > opBrMax || open.batch > opBatchMax ||
 		nInstrs > opInstrMax || blkPC > maxPackedPC ||
 		(nData == 1 && b.body[0] > maxOperand)
 	if !ext {
-		var d uint64
+		var d uint16
 		if nData == 1 {
-			d = b.body[0]
+			d = blockOperand(b.body[0])
 		}
 		var pc uint32
 		if blkLines != 0 {
@@ -470,14 +444,10 @@ func (b *sumBuilder) emit() {
 		b.body = b.body[:0]
 		return
 	}
-	if len(s.data)+int(nData) > cap(s.data) {
-		b.growData(len(s.data) + int(nData))
-	}
 	x := sumExt{
 		batch:    open.batch,
 		tlbMask:  open.tlbMask,
 		missMask: open.missMask,
-		dataOff:  uint32(len(s.data)),
 		nData:    nData,
 		nInstrs:  nInstrs,
 		dtlb:     open.dtlb,
@@ -489,9 +459,11 @@ func (b *sumBuilder) emit() {
 		x.firstLine = open.blkFirst
 		x.pc = open.blkPC
 	}
-	s.data = append(s.data, b.body...)
-	b.push(uint64(open.kind)|opExtBit, 0, uint64(len(s.ext)))
-	s.ext = append(s.ext, x)
+	for _, d := range b.body {
+		s.data.add(d)
+	}
+	b.push(uint64(open.kind)|opExtBit, 0, 0)
+	s.ext.add(x)
 	b.body = b.body[:0]
 }
 
@@ -509,9 +481,9 @@ func (b *sumBuilder) fastLane() bool {
 // pushFast commits the open op through the fast lane (see fastLane).
 func (b *sumBuilder) pushFast() {
 	n := len(b.body)
-	var d uint64
+	var d uint16
 	if n == 1 {
-		d = b.body[0]
+		d = blockOperand(b.body[0])
 		b.body = b.body[:0]
 	}
 	b.push(b.open.packedW(n), b.open.pcWord, d)
@@ -655,6 +627,8 @@ type sumWalker struct {
 	ids        []program.MethodID
 	start      uint64
 	batchSum   uint64
+	ext        cursor[sumExt] // the next ext op's record
+	data       cursor[uint64] // the next ext access
 
 	// With a listener: its Due as of the last entry that reached it,
 	// the block entries folded since the last flush by shape index (a
@@ -678,6 +652,8 @@ func newSumWalker(t *Trace, s *summary, env Env) *sumWalker {
 		frames:     make([]rframe, 0, 64),
 		ids:        make([]program.MethodID, 0, 64),
 		start:      env.Mach.Instructions(),
+		ext:        s.ext.cursor(),
+		data:       s.data.cursor(),
 	}
 	if w.listener != nil {
 		w.due = w.listener.Due()
@@ -692,29 +668,6 @@ func newSumWalker(t *Trace, s *summary, env Env) *sumWalker {
 // and opBlock=2 — are exactly the ones with both bits clear.
 const opBoundaryMask = opExtBit | 0b101
 
-// operandCursor reads the operand stream in order across its segments.
-type operandCursor struct {
-	segs  []*operandSeg
-	si, k int // next operand: segment si, offset k
-}
-
-// take returns the next at most n operands, stopping at the end of the
-// current segment; callers loop until they have consumed what they
-// need.
-func (c *operandCursor) take(n uint64) []uint32 {
-	if c.k == segOps {
-		c.si++
-		c.k = 0
-	}
-	m := int(min(n, uint64(segOps-c.k)))
-	out := c.segs[c.si][c.k : c.k+m]
-	c.k += m
-	return out
-}
-
-// next returns the next operand.
-func (c *operandCursor) next() uint32 { return c.take(1)[0] }
-
 // shapeCursor is the next op's place in the shape stream: segment si,
 // offset k.
 type shapeCursor struct{ si, k int }
@@ -726,8 +679,10 @@ type shapeCursor struct{ si, k int }
 // Within a run (consecutive seq/block ops — no method boundary, no end
 // marker) the frame stack is constant and every non-cache charge is a
 // sum of per-event constants over independent accumulators, so the
-// recorder has already folded the run's fetch lines, retire batch,
-// recorded mispredicts, and D-TLB misses into single bulk charges.
+// recorder has already folded the run's retire batch, recorded
+// mispredicts, and D-TLB misses into single bulk charges (its block
+// entries' fetch walks hit the I-TLB and the L1I, which charges no
+// cycles, and the L1I has no energy meter, so they charge nothing).
 // Bit-exactness of each merged charge: integer counters add
 // associatively, power meters charge via Meter.AccessRepeat (bit-exact
 // with one add per event regardless of call granularity), and the
@@ -738,6 +693,9 @@ type shapeCursor struct{ si, k int }
 // to machine.ReplayDataWords in one call.
 // The boundary op then takes the exact per-op path, so AOS hooks and
 // reconfigurations observe the same machine state as an op-by-op walk.
+// Every ext op is a boundary op, and every walk applies each boundary
+// op exactly once, in stream order, so the walker reads ext records
+// and their accesses through cursors.
 //
 // A block listener sees the run's block entries at instruction counts
 // below the run's end, and below the listener's Due an entry only
@@ -750,54 +708,56 @@ type shapeCursor struct{ si, k int }
 // the reference walk. Without a listener the shape stream is never
 // read.
 func (w *sumWalker) walk() error {
-	mach, aos, shapes := w.mach, w.aos, w.s.shapes
-	cur := operandCursor{segs: w.s.opndSegs}
+	cur := w.s.opnds.cursor()
 	var sc shapeCursor
-	for i := range w.s.runs {
-		r := &w.s.runs[i]
-		if w.listener != nil {
-			if mach.Instructions()+r.batch >= w.due {
-				if err := w.exactRun(&sc, &cur); err != nil {
-					return err
-				}
-				continue
+	for ri := range w.s.runs.segs {
+		runs := w.s.runs.seg(ri)
+		for i := range runs {
+			if err := w.run(&runs[i], &sc, &cur); err != nil {
+				return err
 			}
-			w.fold(&sc)
-		}
-		for n := r.nData; n > 0; {
-			ds := cur.take(n)
-			mach.ReplayDataWords(ds)
-			n -= uint64(len(ds))
-		}
-		if r.lines != 0 {
-			mach.ReplayFetchCharges(r.lines, 0)
-		}
-		if r.dtlb != 0 {
-			mach.ChargeDataTLBMisses(r.dtlb)
-		}
-		if r.batch != 0 {
-			mach.IssueBatch(r.batch)
-			w.batchSum += r.batch
-			if w.sampling {
-				aos.ReplayBatchPoll(mach.Instructions(), r.batch, w.ids)
-			}
-		}
-		if r.br != 0 {
-			mach.ChargeMispredicts(r.br)
-		}
-		sh := &shapes[r.shape]
-		var o uint32
-		if sh.w&opOperandMask != 0 {
-			o = cur.next()
-		}
-		if err := w.applyOp(sh, o); err != nil {
-			return err
 		}
 	}
 	if w.listener != nil {
 		w.flush()
 	}
 	return nil
+}
+
+// run replays run r, whose ops start at c in the shape stream and
+// whose operands start at cur.
+func (w *sumWalker) run(r *sumRun, c *shapeCursor, cur *cursor[uint16]) error {
+	mach, aos := w.mach, w.aos
+	if w.listener != nil {
+		if mach.Instructions()+r.batch >= w.due {
+			return w.exactRun(c, cur)
+		}
+		w.fold(c)
+	}
+	for n := r.nData; n > 0; {
+		ds := cur.take(n)
+		mach.ReplayDataWords(ds)
+		n -= uint64(len(ds))
+	}
+	if r.dtlb != 0 {
+		mach.ChargeDataTLBMisses(r.dtlb)
+	}
+	if r.batch != 0 {
+		mach.IssueBatch(r.batch)
+		w.batchSum += r.batch
+		if w.sampling {
+			aos.ReplayBatchPoll(mach.Instructions(), r.batch, w.ids)
+		}
+	}
+	if r.br != 0 {
+		mach.ChargeMispredicts(r.br)
+	}
+	sh := &w.s.shapes[r.shape]
+	var o uint16
+	if sh.w&opDataBit != 0 {
+		o = *cur.next()
+	}
+	return w.applyOp(sh, o)
 }
 
 // fold counts the foldable ops of the run at c by shape index and
@@ -807,7 +767,7 @@ func (w *sumWalker) fold(c *shapeCursor) {
 	shapes := w.s.shapes
 	last, n := uint32(maxShapes), uint32(0) // no shape yet
 	for ; ; c.si, c.k = c.si+1, 0 {
-		for j, idx := range w.s.shapeSegs[c.si][c.k:] {
+		for j, idx := range w.s.ops.segs[c.si][c.k:] {
 			if uint32(idx) == last {
 				n++
 				continue
@@ -846,17 +806,17 @@ func (w *sumWalker) flush() {
 
 // exactRun applies every op of the run at c in order, the boundary op
 // last, reading operands from cur as it goes.
-func (w *sumWalker) exactRun(c *shapeCursor, cur *operandCursor) error {
+func (w *sumWalker) exactRun(c *shapeCursor, cur *cursor[uint16]) error {
 	shapes := w.s.shapes
 	for {
-		if c.k == segOps {
+		if c.k == 1<<streamShift {
 			c.si, c.k = c.si+1, 0
 		}
-		sh := &shapes[w.s.shapeSegs[c.si][c.k]]
+		sh := &shapes[w.s.ops.segs[c.si][c.k]]
 		c.k++
-		var o uint32
-		if sh.w&opOperandMask != 0 {
-			o = cur.next()
+		var o uint16
+		if sh.w&opDataBit != 0 {
+			o = *cur.next()
 		}
 		if err := w.applyOp(sh, o); err != nil {
 			return err
@@ -882,17 +842,15 @@ func (w *sumWalker) onBlock(pc uint64, instrs int) {
 
 // applyOp replays one op exactly — shape sh with operand o (0 when the
 // shape has none): the boundary action in recorded order, then the
-// body, retire batch with sampler poll, and misprediction charges.
-func (w *sumWalker) applyOp(sh *opShape, o uint32) error {
+// body, retire batch with sampler poll, and misprediction charges. An
+// ext op replays the next ext record.
+func (w *sumWalker) applyOp(sh *opShape, o uint16) error {
 	mach, aos := w.mach, w.aos
 	if sh.w&opExtBit != 0 {
-		return w.applyExt(sh.w&(1<<opKindBits-1), &w.s.ext[o])
+		return w.applyExt(sh.w&(1<<opKindBits-1), w.ext.next())
 	}
 	switch sh.w & (1<<opKindBits - 1) {
 	case opBlock:
-		if n := sh.w >> opLinesShift & opLinesMax; n != 0 {
-			mach.ReplayFetchCharges(n, 0)
-		}
 		if w.listener != nil {
 			w.onBlock(uint64(sh.pc>>8), int(sh.pc&opInstrMax))
 		}
@@ -909,7 +867,7 @@ func (w *sumWalker) applyOp(sh *opShape, o uint32) error {
 	}
 
 	if sh.w&opDataBit != 0 {
-		mach.ReplayData(uint64(o>>1), o&1 != 0)
+		mach.ReplayData(uint64(o>>1)<<blockWordShift, o&1 != 0)
 		if sh.w>>opTLBShift&1 != 0 {
 			mach.ChargeDataTLBMisses(1)
 		}
@@ -1002,8 +960,12 @@ func (w *sumWalker) applyExt(kind uint64, x *sumExt) error {
 		}
 	}
 
-	for _, d := range w.s.data[x.dataOff : x.dataOff+x.nData] {
-		mach.ReplayData(d>>1, d&1 != 0)
+	for n := uint64(x.nData); n > 0; {
+		ds := w.data.take(n)
+		for _, d := range ds {
+			mach.ReplayData(d>>1, d&1 != 0)
+		}
+		n -= uint64(len(ds))
 	}
 	if x.dtlb != 0 {
 		mach.ChargeDataTLBMisses(uint64(x.dtlb))
@@ -1026,7 +988,7 @@ func (w *sumWalker) applyExt(kind uint64, x *sumExt) error {
 // traffic) otherwise.
 func (w *sumWalker) fetch(x *sumExt) {
 	if x.missMask == 0 {
-		w.mach.ReplayFetchCharges(uint64(x.nLines), uint64(bits.OnesCount64(x.tlbMask)))
+		w.mach.ReplayFetchCharges(uint64(bits.OnesCount64(x.tlbMask)))
 		return
 	}
 	last := x.firstLine + uint64(x.nLines-1)*iLine

@@ -111,108 +111,204 @@ func TestSummarizedReplayMatchesExact(t *testing.T) {
 	}
 }
 
+// Word addresses of the ext-path input's accesses around the operand
+// stream's reach: the last word of the last data block whose index
+// fits 15 bits, and the first word of the next block.
+const (
+	lastPackedWord = 1<<(15+blockWordShift) - 1
+	firstWideWord  = 1 << (15 + blockWordShift)
+)
+
+// extPathBlocks lists the ext-path input's block ops in order: the
+// method-0 block each enters, its data accesses, and whether it must
+// pack (the others must become ext records).
+var extPathBlocks = []struct {
+	block  int
+	nData  int
+	packed bool
+}{
+	{1, 1, false}, // A: one access at a word address ≥ 2^31
+	{2, 2, false}, // B: two such accesses, a mispredicted branch
+	{3, 2, false}, // C: two accesses on one cold low line
+	{4, 2, false}, // E: the same two again, now resident
+	{5, 1, true},  // F: one access in the last block that fits
+	{6, 1, false}, // G: one access in the first block that does not
+	{1, 1, true},  // D: one low access
+}
+
 // extPathInput is a driveDirect call sequence whose bodies must all
-// take the ext path but one: in method 0, block ops carrying a single
+// take the ext path but two: in method 0, block ops carrying a single
 // access at a word address ≥ 2^31 (too wide for the op's operand), two
 // accesses at such addresses, two accesses on one low line (once while
-// the line is cold, once while it is resident), and finally a plain
-// single low access, which stays packed. Every ext body replays its
-// access list. It is also a FuzzRecorderCalls seed.
+// the line is cold, once while it is resident), a single access in the
+// last data block whose index fits the operand's 15 bits (packed) and
+// one in the first that does not (ext), and finally a plain single low
+// access, which stays packed. Every ext body replays its access list.
+// It is also a FuzzRecorderCalls seed.
 var extPathInput = func() []byte {
-	// data encodes a cData call; zz is the zigzag address delta (15
-	// escapes to a uvarint that follows).
-	data := func(write bool, zz uint64) byte {
-		pay := zz << 1
+	in := []byte{cEnter, cBatch | 3<<3}
+	var prev uint64
+	// access appends a one-access body at word address addr, its
+	// delta escaped and zigzag-encoded.
+	access := func(write bool, addr uint64) {
+		pay := byte(15 << 1)
 		if write {
 			pay |= 1
 		}
-		return cData | byte(pay)<<3
+		d := int64(addr - prev)
+		in = append(in, cData|pay<<3)
+		in = binary.AppendUvarint(in, uint64(d<<1^d>>63))
+		prev = addr
 	}
 	const wide = 1 << 31
-	in := []byte{cEnter, cBatch | 3<<3}
-	// A: one wide access (escaped delta +2^31+5).
-	in = append(in, cBlock|1<<3, data(true, 15))
-	in = binary.AppendUvarint(in, 2*(wide+5))
-	in = append(in, cBatch|2<<3)
-	// B: two wide accesses (+1, +7), a mispredicted branch.
-	in = append(in, cBlock|1<<3, data(false, 2), data(true, 14), cBatch|4<<3, cBranch)
-	// C: two accesses on a cold low line (escaped delta -2^31 → 13, +1).
-	in = append(in, cBlock|1<<3, data(false, 15))
-	in = binary.AppendUvarint(in, 2*wide-1)
-	in = append(in, data(true, 2), cBatch|3<<3)
-	// E: the same two accesses again (-1, +1), now resident.
-	in = append(in, cBlock|1<<3, data(false, 1), data(true, 2), cBatch|2<<3)
-	// D: one low access (+0 → 14), packed.
-	in = append(in, cBlock|1<<3, data(false, 0), cBatch|1<<3)
+	block := func(i int) byte { return cBlock | byte(extPathBlocks[i].block)<<3 }
+	in = append(in, block(0))
+	access(true, wide+5)
+	in = append(in, cBatch|2<<3, block(1))
+	access(false, wide+6)
+	access(true, wide+13)
+	in = append(in, cBatch|4<<3, cBranch, block(2))
+	access(false, 13)
+	access(true, 14)
+	in = append(in, cBatch|3<<3, block(3))
+	access(false, 13)
+	access(true, 14)
+	in = append(in, cBatch|2<<3, block(4))
+	access(true, lastPackedWord)
+	in = append(in, cBatch|1<<3, block(5))
+	access(false, firstWideWord)
+	in = append(in, cBatch|1<<3, block(6))
+	access(false, 14)
+	in = append(in, cBatch|1<<3)
 	return append(in, cExit, cExt|extEndHalted<<3)
 }()
 
-// forEachOp calls f with every op of s in order: its shape and its
-// operand (0 when the shape carries none).
-func forEachOp(s *summary, f func(sh opShape, o uint32)) {
-	cur := operandCursor{segs: s.opndSegs}
-	for si, g := range s.shapeSegs {
-		for _, idx := range g[:min(segOps, s.n-si<<segShift)] {
+// forEachOp calls f with every op of s in order: its shape, its
+// operand (0 when the shape carries none), and its ext record (nil
+// for a packed op), read by position as the walker reads them.
+func forEachOp(s *summary, f func(sh opShape, o uint16, x *sumExt)) {
+	opnds, ext := s.opnds.cursor(), s.ext.cursor()
+	for si := range s.ops.segs {
+		for _, idx := range s.ops.seg(si) {
 			sh := s.shapes[idx]
-			var o uint32
-			if sh.w&opOperandMask != 0 {
-				o = cur.next()
+			var o uint16
+			var x *sumExt
+			if sh.w&opDataBit != 0 {
+				o = *opnds.next()
 			}
-			f(sh, o)
+			if sh.w&opExtBit != 0 {
+				x = ext.next()
+			}
+			f(sh, o, x)
 		}
 	}
 }
 
+// entryLog is an exact block listener (Due 0) that logs each block
+// entry's pc and the L1D accesses made before it.
+type entryLog struct {
+	mach    *machine.Machine
+	entries [][2]uint64
+}
+
+func (l *entryLog) OnBlock(pc uint64, instrs int) {
+	l.entries = append(l.entries, [2]uint64{pc, l.mach.L1D.Stats().Accesses})
+}
+
+func (l *entryLog) Accumulate(pc uint64, instrs int, n uint64) {
+	for ; n > 0; n-- {
+		l.OnBlock(pc, instrs)
+	}
+}
+
+func (l *entryLog) Due() uint64 { return 0 }
+
 // TestExtPathWideAndMultiAccess: a packed op holds at most one data
-// access, and only one whose wordAddr<<1|write fits the 32-bit
-// operand. Multi-access bodies and wide addresses must become ext
-// records, and replay bit-identically on the fused and the listener
-// walk, with every access reaching the L1D.
+// access, and only one whose data block index fits the operand's 15
+// bits. Multi-access bodies and wider blocks must become ext records,
+// read by position, and replay bit-identically on the fused and the
+// listener walk. Each block entry must reach the listener with its own
+// block's pc after exactly the accesses of the ops before it, and the
+// L1D must end as a twin fed every access's full address directly.
 func TestExtPathWideAndMultiAccess(t *testing.T) {
 	tr, _, err := driveDirect(extPathInput, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := tr.summaryFor(fuzzProg)
-	var blocks []opShape
-	var ops []uint32
-	forEachOp(s, func(sh opShape, o uint32) {
+	type blockOp struct {
+		sh opShape
+		o  uint16
+		x  *sumExt
+	}
+	var blocks []blockOp
+	forEachOp(s, func(sh opShape, o uint16, x *sumExt) {
 		if sh.w&(1<<opKindBits-1) == opBlock {
-			blocks = append(blocks, sh)
-			ops = append(ops, o)
+			blocks = append(blocks, blockOp{sh, o, x})
 		}
 	})
-	if len(blocks) != 5 {
-		t.Fatalf("%d block ops, want 5", len(blocks))
+	if len(blocks) != len(extPathBlocks) {
+		t.Fatalf("%d block ops, want %d", len(blocks), len(extPathBlocks))
 	}
-	for i, want := range []uint32{1, 2, 2, 2} {
-		if blocks[i].w&opExtBit == 0 {
-			t.Fatalf("block op %d packed (shape %#x), want ext", i, blocks[i].w)
+	m := fuzzProg.Method(0)
+	for i, want := range extPathBlocks {
+		got := blocks[i]
+		if want.packed != (got.x == nil) {
+			t.Fatalf("block op %d: packed %v (shape %#x), want %v", i, got.x == nil, got.sh.w, want.packed)
 		}
-		if x := s.ext[ops[i]]; x.nData != want {
-			t.Errorf("block op %d: ext record has %d accesses, want %d", i, x.nData, want)
+		if !want.packed && (got.x.nData != uint32(want.nData) || got.x.pc != m.Blocks[want.block].PC) {
+			t.Errorf("block op %d: ext record has %d accesses at pc %d, want %d at pc %d",
+				i, got.x.nData, got.x.pc, want.nData, m.Blocks[want.block].PC)
 		}
 	}
-	if last := blocks[4]; last.w&opExtBit != 0 || last.w&opDataBit == 0 || ops[4] != 14<<1 {
-		t.Errorf("low single access: shape %#x operand %#x, want packed with operand %#x", last.w, ops[4], 14<<1)
+	if f := blocks[4]; f.o != (1<<15-1)<<1|1 {
+		t.Errorf("last packable block: operand %#x, want %#x", f.o, (1<<15-1)<<1|1)
+	}
+	if d := blocks[6]; d.o != 1<<1 {
+		t.Errorf("low single access (word 14): operand %#x, want block 1's %#x", d.o, 1<<1)
 	}
 
 	fused := fuzzEnv(t)
 	if err := tr.Replay(fused); err != nil {
 		t.Fatalf("fused replay: %v", err)
 	}
-	var log blockLog
 	listened := fuzzEnv(t)
-	listened.BlockListener = &log
+	log := &entryLog{mach: listened.Mach}
+	listened.BlockListener = log
 	if err := tr.Replay(listened); err != nil {
 		t.Fatalf("listener replay: %v", err)
 	}
 	checkSameState(t, "listener-vs-fused", machineState(fused.Mach), machineState(listened.Mach))
-	if log.n != 5 {
-		t.Errorf("listener fired %d times, want 5 (the entry does not fire)", log.n)
+	var want [][2]uint64
+	var before uint64
+	for _, b := range extPathBlocks {
+		want = append(want, [2]uint64{m.Blocks[b.block].PC, before})
+		before += uint64(b.nData)
 	}
-	if got := fused.Mach.L1D.Stats().Accesses; got != 8 {
-		t.Errorf("L1D saw %d accesses, want 8", got)
+	if !reflect.DeepEqual(log.entries, want) {
+		t.Errorf("block entries (pc, L1D accesses before) %v, want %v", log.entries, want)
+	}
+
+	// The twin sees each access's full byte address, in input order.
+	l1d := fused.Mach.L1D
+	twin := cache.MustNew("twin", l1d.SizeBytes(), l1d.BlockBytes(), l1d.Ways())
+	const wide = 1 << 31
+	for _, a := range []struct {
+		word  uint64
+		write bool
+	}{
+		{wide + 5, true}, {wide + 6, false}, {wide + 13, true}, {13, false}, {14, true},
+		{13, false}, {14, true}, {lastPackedWord, true}, {firstWideWord, false}, {14, false},
+	} {
+		twin.Access(a.word*8, a.write)
+	}
+	if l1d.Stats() != twin.Stats() || l1d.Tick() != twin.Tick() {
+		t.Errorf("L1D stats %+v tick %d, twin %+v tick %d", l1d.Stats(), l1d.Tick(), twin.Stats(), twin.Tick())
+	}
+	for set := uint64(0); set < uint64(l1d.NumSets()); set++ {
+		if g, w := l1d.ViewSet(set), twin.ViewSet(set); !reflect.DeepEqual(g, w) {
+			t.Errorf("L1D set %d: %+v, twin %+v", set, g, w)
+		}
 	}
 }
 
@@ -274,13 +370,11 @@ func TestRunCrossesSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := tr.summaryFor(fuzzProg)
-	if len(s.opndSegs) < 2 || !runStraddlesSegment(s) {
-		t.Fatalf("%d operands in %d segments, no run crosses a segment boundary", s.nOpnd, len(s.opndSegs))
+	if len(s.opnds.segs) < 2 || !runStraddlesSegment(s) {
+		t.Fatalf("%d operands in %d segments, no run crosses a segment boundary", s.opnds.n, len(s.opnds.segs))
 	}
 	var folded uint64
-	for _, run := range s.runs {
-		folded = max(folded, run.nData)
-	}
+	forEachRun(s, func(run sumRun) { folded = max(folded, run.nData) })
 	if folded < blocks-1 {
 		t.Errorf("longest run folds %d data accesses, want >= %d", folded, blocks-1)
 	}

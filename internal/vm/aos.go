@@ -52,8 +52,9 @@ func (p *MethodProfile) MeanSize() float64 {
 
 // Hooks is the code the JIT compiler inserts at a hotspot's
 // boundaries. Overheads are charged to the machine as extra
-// instructions (and hence cycles and L1I energy) every time the hook
-// runs, modelling the inserted stub's execution cost.
+// instructions (and hence cycles, and IQ energy when that unit is
+// enabled) every time the hook runs, modelling the inserted stub's
+// execution cost.
 type Hooks struct {
 	// Entry runs immediately after the hotspot's invocation, before
 	// its first instruction (the tuning or configuration code).

@@ -7,7 +7,9 @@
 # Direct execution is the oracle for the record-once/replay-many path.
 # The clean pass also diffs the phase-detector comparison table
 # (acetables -detectors, whose stdout carries no wall times), the one
-# end-to-end output of the WSS scheme's replays.
+# end-to-end output of the WSS scheme's replays, and the three-CU table
+# (acetables -threecu), the one end-to-end output of the replays with
+# the issue-queue unit enabled.
 set -eu
 
 GO=${GO:-go}
@@ -40,3 +42,8 @@ $GO run ./cmd/acetables -detectors -q > "$TMP/replay_detectors.txt"
 $GO run ./cmd/acetables -detectors -q -noreplay > "$TMP/direct_detectors.txt"
 cmp "$TMP/replay_detectors.txt" "$TMP/direct_detectors.txt"
 echo "replay-check (detectors): tables byte-identical"
+
+$GO run ./cmd/acetables -threecu -q > "$TMP/replay_threecu.txt"
+$GO run ./cmd/acetables -threecu -q -noreplay > "$TMP/direct_threecu.txt"
+cmp "$TMP/replay_threecu.txt" "$TMP/direct_threecu.txt"
+echo "replay-check (threecu): tables byte-identical"
