@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-snapshot bench-record bench-compare replay-check tables vet fmt fmt-check cover fuzz chaos doclint server-smoke optimize-smoke crash-smoke cluster-smoke ci clean
+.PHONY: all build test test-short bench bench-snapshot bench-record bench-compare replay-check tables vet fmt fmt-check cover fuzz chaos doclint server-smoke optimize-smoke crash-smoke cluster-smoke examples-smoke ci clean
 
 all: build test
 
@@ -134,6 +134,11 @@ optimize-smoke:
 crash-smoke:
 	sh scripts/crash_smoke.sh
 
+# Build every example and run it with its default flags; any
+# non-zero exit fails (CI test job).
+examples-smoke:
+	sh scripts/examples_smoke.sh
+
 # Boot a 3-node acelabd ring and exercise the cluster contract: routed
 # results byte-identical to acetables -json, cluster-wide cache hits
 # from any node, JSON-array fan-out, and an injected peer partition
@@ -149,6 +154,7 @@ cluster-smoke:
 ci: build vet fmt-check doclint
 	$(GO) test -race -timeout 40m ./...
 	cd bench && $(GO) vet ./... && $(GO) test -race ./...
+	$(MAKE) examples-smoke
 	$(GO) test -fuzz=FuzzEngineVsReference -fuzztime=10s -run=^$$ ./internal/vm
 	$(GO) test -fuzz=FuzzEngineUnderManagement -fuzztime=10s -run=^$$ ./internal/vm
 	$(GO) test -fuzz=FuzzCacheVsReference -fuzztime=10s -run=^$$ ./internal/cache

@@ -104,7 +104,7 @@ type (
 	Analyzer = core.Analyzer
 	// Database is the persistable slice of the DO database: tuned
 	// configurations that can warm-start a later run
-	// (Manager.ExportDatabase, ManagerParams.WarmStart).
+	// (Result.Hotspot.Database, ManagerParams.WarmStart).
 	Database = core.Database
 	// TuningMode selects decoupled (the paper) or monolithic (the
 	// ablation) tuning.
@@ -118,7 +118,7 @@ const (
 )
 
 // ParseDatabase decodes a DO database exported by
-// Manager.ExportDatabase().Marshal().
+// a hotspot run's Result.Hotspot.Database().Marshal().
 func ParseDatabase(data []byte) (*Database, error) { return core.ParseDatabase(data) }
 
 // DefaultManagerParams returns the framework parameters at the given

@@ -80,6 +80,21 @@ func runOne(b *testing.B, name string, scheme acedo.Scheme) *acedo.Result {
 	return res
 }
 
+// recordedTrace records spec's baseline trace (or fetches it from the
+// process-wide cache) and resets the timer.
+func recordedTrace(b *testing.B, spec acedo.BenchmarkSpec, opt acedo.Options) *rtrace.Trace {
+	b.Helper()
+	_, tr, err := experiment.RecordedBaseline(spec, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if tr == nil {
+		b.Fatal("baseline recording not retained")
+	}
+	b.ResetTimer()
+	return tr
+}
+
 // BenchmarkTable1 measures the hotspot identification latency that
 // Table 1 contrasts with the temporal approaches' per-recurrence
 // latency.
@@ -235,37 +250,26 @@ func BenchmarkAblationDecoupling(b *testing.B) {
 }
 
 // BenchmarkAblationStaticHint measures the zero-descent configuration
-// path (DESIGN.md experiment A2).
+// path (DESIGN.md experiment A2): compress's trace is recorded once
+// outside the timer, then each iteration replays it under the hotspot
+// scheme with the static analyzer's hints.
 func BenchmarkAblationStaticHint(b *testing.B) {
 	spec, _ := acedo.BenchmarkByName("compress")
 	spec = spec.WithMainLoops(benchLoops)
+	opt := acedo.DefaultOptions()
+	prog, err := spec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt.Core.StaticHint = acedo.NewAnalyzer(prog).HintFor(opt.Machine)
+	tr := recordedTrace(b, spec, opt)
 	var tunings uint64
 	for i := 0; i < b.N; i++ {
-		prog, err := spec.Build()
+		r, err := experiment.ReplayScheme(spec, acedo.SchemeHotspot, opt, tr)
 		if err != nil {
 			b.Fatal(err)
 		}
-		opt := acedo.DefaultOptions()
-		mach, err := machine.New(opt.Machine)
-		if err != nil {
-			b.Fatal(err)
-		}
-		aos := vm.NewAOS(opt.VM, mach, prog)
-		params := opt.Core
-		params.StaticHint = acedo.NewAnalyzer(prog).HintFor(mach)
-		mgr, err := acedo.NewManager(params, mach, aos)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng, err := vm.NewEngine(prog, mach, aos)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.Run(0); err != nil {
-			b.Fatal(err)
-		}
-		rep := mgr.Report()
-		tunings = rep.L1D.Tunings + rep.L2.Tunings
+		tunings = r.Hotspot.L1D.Tunings + r.Hotspot.L2.Tunings
 	}
 	b.ReportMetric(float64(tunings), "tuning-measurements")
 }
@@ -309,55 +313,28 @@ func BenchmarkExtensionPredictor(b *testing.B) {
 }
 
 // BenchmarkWarmStart measures a run that replays a previous run's
-// exported DO database instead of tuning.
+// exported DO database instead of tuning: compress's trace is recorded
+// and its tuned run exported outside the timer, then each iteration
+// replays the trace warm-started from that database.
 func BenchmarkWarmStart(b *testing.B) {
 	spec, _ := acedo.BenchmarkByName("compress")
 	spec = spec.WithMainLoops(benchLoops)
 	opt := acedo.DefaultOptions()
-
-	// Produce the database once (outside the timed loop).
-	prog, err := spec.Build()
+	tr := recordedTrace(b, spec, opt)
+	cold, err := experiment.ReplayScheme(spec, acedo.SchemeHotspot, opt, tr)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mach := machine.MustNew(opt.Machine)
-	aos := vm.NewAOS(opt.VM, mach, prog)
-	mgr, err := acedo.NewManager(opt.Core, mach, aos)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := vm.NewEngine(prog, mach, aos)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Run(0); err != nil {
-		b.Fatal(err)
-	}
-	db := mgr.ExportDatabase()
+	opt.Core.WarmStart = cold.Hotspot.Database()
 
 	b.ResetTimer()
 	var warmStarts int
 	for i := 0; i < b.N; i++ {
-		prog, err := spec.Build()
+		r, err := experiment.ReplayScheme(spec, acedo.SchemeHotspot, opt, tr)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mach := machine.MustNew(opt.Machine)
-		aos := vm.NewAOS(opt.VM, mach, prog)
-		params := opt.Core
-		params.WarmStart = db
-		mgr, err := acedo.NewManager(params, mach, aos)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng, err := vm.NewEngine(prog, mach, aos)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.Run(0); err != nil {
-			b.Fatal(err)
-		}
-		warmStarts = mgr.Report().WarmStarts
+		warmStarts = r.Hotspot.WarmStarts
 	}
 	b.ReportMetric(float64(warmStarts), "warm-started-hotspots")
 }
@@ -410,14 +387,7 @@ func BenchmarkReplayBBV(b *testing.B) {
 	spec, _ := acedo.BenchmarkByName("jess")
 	spec = spec.WithMainLoops(benchLoops)
 	opt := acedo.DefaultOptions()
-	_, tr, err := experiment.RecordedBaseline(spec, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if tr == nil {
-		b.Fatal("baseline recording not retained")
-	}
-	b.ResetTimer()
+	tr := recordedTrace(b, spec, opt)
 	var instr uint64
 	for i := 0; i < b.N; i++ {
 		r, err := experiment.ReplayScheme(spec, acedo.SchemeBBV, opt, tr)
@@ -437,14 +407,7 @@ func BenchmarkReplayThreeCU(b *testing.B) {
 	spec, _ := acedo.BenchmarkByName("jess")
 	spec = spec.WithMainLoops(benchLoops)
 	opt := acedo.DefaultOptions().WithThreeCU()
-	_, tr, err := experiment.RecordedBaseline(spec, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if tr == nil {
-		b.Fatal("baseline recording not retained")
-	}
-	b.ResetTimer()
+	tr := recordedTrace(b, spec, opt)
 	var instr uint64
 	for i := 0; i < b.N; i++ {
 		r, err := experiment.ReplayScheme(spec, acedo.SchemeHotspot, opt, tr)
@@ -469,14 +432,7 @@ func BenchmarkReplayAssoc(b *testing.B) {
 		b.Run(fmt.Sprintf("L1D%dway", l1dWays), func(b *testing.B) {
 			opt := acedo.DefaultOptions()
 			opt.Machine.L1DWays, opt.Machine.L2Ways = l1dWays, 16
-			_, tr, err := experiment.RecordedBaseline(spec, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if tr == nil {
-				b.Fatal("baseline recording not retained")
-			}
-			b.ResetTimer()
+			tr := recordedTrace(b, spec, opt)
 			var instr uint64
 			for i := 0; i < b.N; i++ {
 				r, err := experiment.ReplayScheme(spec, acedo.SchemeHotspot, opt, tr)

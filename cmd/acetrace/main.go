@@ -15,10 +15,9 @@ import (
 	"os"
 
 	"acedo"
-	"acedo/internal/machine"
+	"acedo/internal/experiment"
 	"acedo/internal/telemetry"
 	"acedo/internal/trace"
-	"acedo/internal/vm"
 )
 
 func main() {
@@ -42,21 +41,10 @@ func run() int {
 		opt = opt.WithThreeCU()
 	}
 
-	prog, err := spec.Build()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acetrace: %v\n", err)
-		return 1
-	}
-	mach, err := machine.New(opt.Machine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acetrace: %v\n", err)
-		return 1
-	}
-
 	// The timeline Recorder is itself a telemetry.Sink; an optional
 	// JSONL sink tees off the same event stream.
 	var rec trace.Recorder
-	var sink telemetry.Sink = &rec
+	opt.Sink = &rec
 	if *events != "" {
 		out := os.Stdout
 		if *events != "-" {
@@ -74,45 +62,23 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "acetrace: events: %v\n", err)
 			}
 		}()
-		sink = telemetry.Multi(&rec, telemetry.WithRunLabels(jl, spec.Name, "hotspot"))
-	}
-	mach.OnReconfigure = telemetry.MachineReconfigure(sink)
-
-	aos := vm.NewAOS(opt.VM, mach, prog)
-	mgr, err := acedo.NewManager(opt.Core, mach, aos)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acetrace: %v\n", err)
-		return 1
-	}
-	mgr.SetSink(sink)
-	// Chain a promotion emitter after the manager's subscription.
-	inner := aos.OnPromote
-	aos.OnPromote = func(p *vm.MethodProfile) {
-		sink.Emit(telemetry.Promotion(p.Name, mach.Instructions()))
-		if inner != nil {
-			inner(p)
-		}
+		opt.Sink = telemetry.Multi(&rec, jl)
 	}
 
-	eng, err := vm.NewEngine(prog, mach, aos)
+	res, err := experiment.Run(spec, experiment.SchemeHotspot, opt)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "acetrace: %v\n", err)
-		return 1
-	}
-	if err := eng.Run(0); err != nil {
 		fmt.Fprintf(os.Stderr, "acetrace: %v\n", err)
 		return 1
 	}
 
 	fmt.Printf("benchmark %s under the hotspot framework (%d instructions)\n\n",
-		spec.Name, mach.Instructions())
-	rec.Timeline(os.Stdout, mach.Instructions(), *cols)
+		spec.Name, res.Instr)
+	rec.Timeline(os.Stdout, res.Instr, *cols)
 
 	fmt.Println("\nhotspot configurations:")
-	for _, h := range mgr.Hotspots() {
-		for i, u := range h.Units() {
-			fmt.Printf("  %-16s %-4s -> %v (%s)\n",
-				h.Prof.Name, u.Name(), u.Setting(h.BestConfig()[i]), h.State())
+	for _, h := range res.Hotspot.Hotspots {
+		for i, u := range h.Units {
+			fmt.Printf("  %-16s %-4s -> %v (%s)\n", h.Method, u, h.Settings[i], h.State)
 		}
 	}
 	return 0

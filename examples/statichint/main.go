@@ -11,37 +11,7 @@ import (
 
 	"acedo"
 	"acedo/internal/experiment"
-	"acedo/internal/machine"
-	"acedo/internal/vm"
 )
-
-// runWithHints mirrors experiment.Run for the hotspot scheme but wires
-// the static analyzer's hints into the framework.
-func runWithHints(spec acedo.BenchmarkSpec, opt acedo.Options) (*acedo.Machine, *acedo.Manager, error) {
-	prog, err := spec.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	mach, err := machine.New(opt.Machine)
-	if err != nil {
-		return nil, nil, err
-	}
-	aos := vm.NewAOS(opt.VM, mach, prog)
-	params := opt.Core
-	params.StaticHint = acedo.NewAnalyzer(prog).HintFor(mach)
-	mgr, err := acedo.NewManager(params, mach, aos)
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, err := vm.NewEngine(prog, mach, aos)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := eng.Run(opt.MaxInstr); err != nil && err != vm.ErrBudget {
-		return nil, nil, err
-	}
-	return mach, mgr, nil
-}
 
 func main() {
 	bench := flag.String("bench", "compress", "benchmark name")
@@ -53,20 +23,26 @@ func main() {
 	}
 	opt := acedo.DefaultOptions()
 
-	base, err := acedo.RunBenchmark(spec, acedo.SchemeBaseline, opt)
+	rs, err := experiment.RunSchemes(spec, opt, []acedo.Scheme{acedo.SchemeBaseline, acedo.SchemeHotspot})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tuned, err := experiment.Run(spec, acedo.SchemeHotspot, opt)
+	base, tuned := rs[0], rs[1]
+	// The hint is built from the program and the machine's cache
+	// ladders before the run; the hinted run replays the baseline's
+	// recorded trace.
+	prog, err := spec.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	hintMach, hintMgr, err := runWithHints(spec, opt)
+	hintOpt := opt
+	hintOpt.Core.StaticHint = acedo.NewAnalyzer(prog).HintFor(opt.Machine)
+	hs, err := experiment.RunSchemes(spec, hintOpt, []acedo.Scheme{acedo.SchemeHotspot})
 	if err != nil {
 		log.Fatal(err)
 	}
-	hintSnap := hintMach.Snapshot()
-	hintRep := hintMgr.Report()
+	hinted := hs[0]
+	hintRep := hinted.Hotspot
 
 	saving := func(b, s float64) float64 { return 100 * (b - s) / b }
 	fmt.Printf("benchmark %s: static-hint ablation (paper Section 6)\n\n", spec.Name)
@@ -77,19 +53,19 @@ func main() {
 	fmt.Printf("%-26s %11.1f%% %11.1f%%\n", "L1D coverage",
 		100*tuned.Hotspot.L1D.Coverage, 100*hintRep.L1D.Coverage)
 	fmt.Printf("%-26s %11.1f%% %11.1f%%\n", "L1D energy saving",
-		saving(base.L1DEnergyNJ, tuned.L1DEnergyNJ), saving(base.L1DEnergyNJ, hintSnap.L1DnJ))
+		saving(base.L1DEnergyNJ, tuned.L1DEnergyNJ), saving(base.L1DEnergyNJ, hinted.L1DEnergyNJ))
 	fmt.Printf("%-26s %11.1f%% %11.1f%%\n", "L2 energy saving",
-		saving(base.L2EnergyNJ, tuned.L2EnergyNJ), saving(base.L2EnergyNJ, hintSnap.L2nJ))
+		saving(base.L2EnergyNJ, tuned.L2EnergyNJ), saving(base.L2EnergyNJ, hinted.L2EnergyNJ))
 	fmt.Printf("%-26s %11.2f%% %11.2f%%\n", "slowdown",
 		100*(float64(tuned.Cycles)/float64(base.Cycles)-1),
-		100*(float64(hintSnap.Cycles)/float64(base.Cycles)-1))
+		100*(float64(hinted.Cycles)/float64(base.Cycles)-1))
 
 	fmt.Println("\nper-hotspot hinted configurations:")
-	for _, h := range hintMgr.Hotspots() {
-		for i, u := range h.Units() {
+	for _, h := range hintRep.Hotspots {
+		for i, u := range h.Units {
 			fmt.Printf("  %-14s %-4s -> %3d KB  (state %s, descent skipped: %v)\n",
-				h.Prof.Name, u.Name(), u.Setting(h.BestConfig()[i])/1024,
-				h.State(), hintRep.L1D.Tunings+hintRep.L2.Tunings == 0)
+				h.Method, u, h.Settings[i]/1024,
+				h.State, hintRep.L1D.Tunings+hintRep.L2.Tunings == 0)
 		}
 	}
 }

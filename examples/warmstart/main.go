@@ -11,35 +11,20 @@ import (
 	"log"
 
 	"acedo"
-	"acedo/internal/core"
-	"acedo/internal/machine"
-	"acedo/internal/vm"
+	"acedo/internal/experiment"
 )
 
-func run(spec acedo.BenchmarkSpec, opt acedo.Options, warm *core.Database) (*acedo.Machine, *acedo.Manager) {
-	prog, err := spec.Build()
+// run executes the benchmark under the hotspot framework, warm-started
+// from db when it is non-nil; it replays the benchmark's cached trace
+// once one has been recorded.
+func run(spec acedo.BenchmarkSpec, db *acedo.Database) *acedo.Result {
+	opt := acedo.DefaultOptions()
+	opt.Core.WarmStart = db
+	rs, err := experiment.RunSchemes(spec, opt, []acedo.Scheme{acedo.SchemeHotspot})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mach, err := machine.New(opt.Machine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	aos := vm.NewAOS(opt.VM, mach, prog)
-	params := opt.Core
-	params.WarmStart = warm
-	mgr, err := acedo.NewManager(params, mach, aos)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng, err := vm.NewEngine(prog, mach, aos)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := eng.Run(0); err != nil {
-		log.Fatal(err)
-	}
-	return mach, mgr
+	return rs[0]
 }
 
 func main() {
@@ -50,32 +35,29 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown benchmark %q", *bench)
 	}
-	opt := acedo.DefaultOptions()
-
-	coldMach, coldMgr := run(spec, opt, nil)
-	coldRep := coldMgr.Report()
-	db := coldMgr.ExportDatabase()
+	cold := run(spec, nil)
+	db := cold.Hotspot.Database()
 	blob, err := db.Marshal()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("cold run:  %d tuning measurements, %.3g mJ cache energy\n",
-		coldRep.L1D.Tunings+coldRep.L2.Tunings,
-		(coldMach.Snapshot().L1DnJ+coldMach.Snapshot().L2nJ)/1e6)
+		cold.Hotspot.L1D.Tunings+cold.Hotspot.L2.Tunings,
+		(cold.L1DEnergyNJ+cold.L2EnergyNJ)/1e6)
 	fmt.Printf("exported DO database: %d tuned hotspots, %d bytes of JSON\n\n",
 		len(db.Hotspots), len(blob))
 
 	// A fresh process would ParseDatabase(blob); round-trip it here
 	// to prove the serialization carries everything needed.
-	restored, err := core.ParseDatabase(blob)
+	restored, err := acedo.ParseDatabase(blob)
 	if err != nil {
 		log.Fatal(err)
 	}
-	warmMach, warmMgr := run(spec, opt, restored)
-	warmRep := warmMgr.Report()
+	warm := run(spec, restored)
+	warmRep := warm.Hotspot
 	fmt.Printf("warm run:  %d tuning measurements, %.3g mJ cache energy\n",
 		warmRep.L1D.Tunings+warmRep.L2.Tunings,
-		(warmMach.Snapshot().L1DnJ+warmMach.Snapshot().L2nJ)/1e6)
+		(warm.L1DEnergyNJ+warm.L2EnergyNJ)/1e6)
 	fmt.Printf("hotspots configured directly from the database: %d of %d\n",
 		warmRep.WarmStarts, warmRep.L1D.Hotspots+warmRep.L2.Hotspots)
 

@@ -271,15 +271,6 @@ func NewManagerWithDetector(params Params, mach *machine.Machine, det Detector) 
 	return m, nil
 }
 
-// MustNewManager is NewManager that panics on error.
-func MustNewManager(params Params, mach *machine.Machine) *Manager {
-	m, err := NewManager(params, mach)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Params returns the scheme parameters.
 func (m *Manager) Params() Params { return m.params }
 

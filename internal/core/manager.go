@@ -216,15 +216,6 @@ func NewManager(params Params, mach *machine.Machine, aos *vm.AOS) (*Manager, er
 	return m, nil
 }
 
-// MustNewManager is NewManager that panics on error.
-func MustNewManager(params Params, mach *machine.Machine, aos *vm.AOS) *Manager {
-	m, err := NewManager(params, mach, aos)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Params returns the framework parameters.
 func (m *Manager) Params() Params { return m.params }
 
@@ -683,9 +674,42 @@ type ClassReport struct {
 	Coverage float64
 }
 
+// HotspotOutcome is one managed hotspot's row in the end-of-run
+// report: the method, its size class, where its tuning ended, and the
+// configuration it chose.
+type HotspotOutcome struct {
+	Method string
+	Class  hotspot.Class
+	// State is "tuning" or "configured".
+	State string
+	// Units names the managed units in configuration-vector order;
+	// Config is the chosen setting-index vector over them and
+	// Settings the chosen setting values.
+	Units    []string
+	Config   []int
+	Settings []int
+	// TunedIPC is the IPC observed under the chosen configuration (0
+	// for a hinted or degraded hotspot); MeanSize the method's mean
+	// invocation size in instructions.
+	TunedIPC float64
+	MeanSize float64
+	// Tuned marks a hotspot that completed a tuning pass or was
+	// configured from a hint or a warm start; Passive one that
+	// inherited its nested hotspots' choices instead of measuring.
+	Tuned   bool
+	Passive bool
+}
+
 // Report is the framework's end-of-run accounting for Tables 5 and 6.
 type Report struct {
 	TotalInstr uint64
+
+	// Mode is the run's tuning strategy.
+	Mode Mode
+
+	// Hotspots holds one outcome row per managed hotspot, in
+	// promotion order.
+	Hotspots []HotspotOutcome
 
 	// Micro is zero-valued unless the issue-queue unit and the
 	// micro size class are enabled.
@@ -723,6 +747,8 @@ type Report struct {
 func (m *Manager) Report() Report {
 	r := Report{
 		TotalInstr: m.mach.Instructions(),
+		Mode:       m.params.Mode,
+		Hotspots:   make([]HotspotOutcome, 0, len(m.hotspots)),
 		Unmanaged:  m.unmanaged,
 		Degraded:   m.degraded,
 		WarmStarts: m.warmStarts,
@@ -739,6 +765,7 @@ func (m *Manager) Report() Report {
 	var perCoV stats.Welford
 	var means []float64
 	for _, h := range m.hotspots {
+		r.Hotspots = append(r.Hotspots, h.outcome())
 		r.Retunes += h.Retunes
 		if h.IPCW.N() >= 2 {
 			perCoV.Add(h.IPCW.CoV())
@@ -750,6 +777,26 @@ func (m *Manager) Report() Report {
 	r.PerHotspotIPCCoV = perCoV.Mean()
 	r.InterHotspotIPCCoV = stats.CoV(means)
 	return r
+}
+
+// outcome renders the hotspot's report row.
+func (h *Hotspot) outcome() HotspotOutcome {
+	o := HotspotOutcome{
+		Method:   h.Prof.Name,
+		Class:    h.Class,
+		State:    h.State(),
+		Units:    make([]string, len(h.units)),
+		Config:   append([]int(nil), h.BestConfig()...),
+		Settings: h.configValues(h.bestPos),
+		TunedIPC: h.TunedIPC,
+		MeanSize: h.Prof.MeanSize(),
+		Tuned:    h.TunedOK,
+		Passive:  h.passive,
+	}
+	for i, u := range h.units {
+		o.Units[i] = u.Name()
+	}
+	return o
 }
 
 func (m *Manager) classReport(c *classCounters) ClassReport {

@@ -88,7 +88,7 @@ type Params struct {
 	// WarmStart, if non-nil, is a previous run's exported DO
 	// database: a promoted hotspot found in it is configured
 	// immediately with the saved configuration, skipping the
-	// descent (Manager.ExportDatabase / ParseDatabase). It is
+	// descent (Report.Database / ParseDatabase). It is
 	// consulted before StaticHint and ignored if its tuning Mode
 	// differs from this run's.
 	WarmStart *Database

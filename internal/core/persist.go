@@ -37,21 +37,21 @@ type Database struct {
 	Hotspots []SavedHotspot `json:"hotspots"`
 }
 
-// ExportDatabase snapshots the tuned hotspots. Passive and untuned
-// hotspots are omitted: there is nothing trustworthy to replay.
-func (m *Manager) ExportDatabase() *Database {
-	db := &Database{Mode: m.params.Mode.String()}
-	for _, h := range m.hotspots {
-		if !h.TunedOK || h.passive {
+// Database derives the exportable DO database from the report's
+// hotspot rows. Passive and untuned hotspots are omitted: there is
+// nothing trustworthy to replay.
+func (r Report) Database() *Database {
+	db := &Database{Mode: r.Mode.String()}
+	for _, h := range r.Hotspots {
+		if !h.Tuned || h.Passive {
 			continue
 		}
-		cfg := append([]int{}, h.BestConfig()...)
 		db.Hotspots = append(db.Hotspots, SavedHotspot{
-			Method:   h.Prof.Name,
+			Method:   h.Method,
 			Class:    h.Class.String(),
-			Config:   cfg,
+			Config:   h.Config,
 			TunedIPC: h.TunedIPC,
-			MeanSize: h.Prof.MeanSize(),
+			MeanSize: h.MeanSize,
 		})
 	}
 	return db

@@ -9,7 +9,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err := e.eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	db := e.mgr.ExportDatabase()
+	db := e.mgr.Report().Database()
 	if len(db.Hotspots) != 1 {
 		t.Fatalf("exported %d hotspots, want 1", len(db.Hotspots))
 	}
@@ -32,6 +32,42 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 }
 
+func TestReportRowsMatchHotspots(t *testing.T) {
+	// Monolithic mode: every row spans both cache units.
+	p := DefaultParams(10)
+	p.Mode = ModeMonolithic
+	e := newEnv(t, leafProgram(512, 2, 400), p)
+	if err := e.eng.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	rep := e.mgr.Report()
+	hs := e.mgr.Hotspots()
+	if len(rep.Hotspots) != len(hs) || len(hs) == 0 {
+		t.Fatalf("report rows = %d, hotspots = %d", len(rep.Hotspots), len(hs))
+	}
+	for i, h := range hs {
+		row := rep.Hotspots[i]
+		if row.Method != h.Prof.Name || row.Class != h.Class || row.State != h.State() ||
+			row.Tuned != h.TunedOK || row.TunedIPC != h.TunedIPC {
+			t.Errorf("row %d = %+v, hotspot %s/%v/%s", i, row, h.Prof.Name, h.Class, h.State())
+		}
+		if len(row.Units) != 2 {
+			t.Fatalf("row %d spans %d units, want 2", i, len(row.Units))
+		}
+		for j, u := range h.Units() {
+			if row.Units[j] != u.Name() || row.Config[j] != h.BestConfig()[j] ||
+				row.Settings[j] != u.Setting(h.BestConfig()[j]) {
+				t.Errorf("row %d unit %d = %s/%d/%d, want %s/%d/%d", i, j,
+					row.Units[j], row.Config[j], row.Settings[j],
+					u.Name(), h.BestConfig()[j], u.Setting(h.BestConfig()[j]))
+			}
+		}
+	}
+	if db := rep.Database(); db.Mode != "monolithic" {
+		t.Errorf("database mode = %q, want monolithic", db.Mode)
+	}
+}
+
 func TestParseDatabaseRejectsGarbage(t *testing.T) {
 	if _, err := ParseDatabase([]byte("{nope")); err == nil {
 		t.Error("garbage should fail to parse")
@@ -46,7 +82,7 @@ func TestWarmStartSkipsTuning(t *testing.T) {
 	if err := first.eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	db := first.mgr.ExportDatabase()
+	db := first.mgr.Report().Database()
 	want := first.mgr.Hotspots()[0].BestConfig()[0]
 
 	p := DefaultParams(10)
@@ -77,7 +113,7 @@ func TestWarmStartModeMismatchIgnored(t *testing.T) {
 	if err := first.eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	db := first.mgr.ExportDatabase()
+	db := first.mgr.Report().Database()
 	db.Mode = "monolithic" // wrong mode: must be ignored
 
 	p := DefaultParams(10)
@@ -117,7 +153,7 @@ func TestExportOmitsUntunedAndPassive(t *testing.T) {
 	if err := e.eng.Run(80_000); err != nil && err.Error() != "vm: instruction budget exhausted" {
 		t.Fatal(err)
 	}
-	db := e.mgr.ExportDatabase()
+	db := e.mgr.Report().Database()
 	for _, h := range db.Hotspots {
 		if h.Config == nil {
 			t.Errorf("exported entry without config: %+v", h)

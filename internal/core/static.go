@@ -253,26 +253,33 @@ func (a *Analyzer) Footprint(id program.MethodID) int {
 	return a.inclusive[id]
 }
 
-// HintFor builds a Params.StaticHint for the given machine: the hinted
-// configuration is the smallest setting at least twice the estimated
-// footprint (occupancy headroom for co-resident data), per the unit
-// the hotspot's class manages. The hint declines when the analysis
-// found nothing.
-func (a *Analyzer) HintFor(mach *machine.Machine) func(program.MethodID, hotspot.Class, float64) ([]int, bool) {
+// HintFor builds a Params.StaticHint for the given machine
+// configuration: the hinted configuration is the smallest setting at
+// least twice the estimated footprint (occupancy headroom for
+// co-resident data), from the ladder of the cache the hotspot's class
+// manages. The hint declines when the analysis found nothing, and for
+// a class whose unit a data footprint does not size (the micro class's
+// issue queue), so such hotspots take the tuning descent.
+func (a *Analyzer) HintFor(cfg machine.Config) func(program.MethodID, hotspot.Class, float64) ([]int, bool) {
 	return func(id program.MethodID, class hotspot.Class, _ float64) ([]int, bool) {
+		var ladder []int
+		switch class {
+		case hotspot.ClassL1D:
+			ladder = cfg.L1DSizes
+		case hotspot.ClassL2:
+			ladder = cfg.L2Sizes
+		default:
+			return nil, false
+		}
 		foot := a.Footprint(id)
 		if foot == 0 {
 			return nil, false
 		}
-		unit := mach.L1DUnit
-		if class == hotspot.ClassL2 {
-			unit = mach.L2Unit
-		}
-		for i := 0; i < unit.NumSettings(); i++ {
-			if unit.Setting(i) >= 2*foot {
+		for i, size := range ladder {
+			if size >= 2*foot {
 				return []int{i}, true
 			}
 		}
-		return []int{unit.MaxIndex()}, true
+		return []int{len(ladder) - 1}, true
 	}
 }

@@ -79,8 +79,7 @@ func TestAnalyzerUnknownAddressDeclines(t *testing.T) {
 	a := NewAnalyzer(prog)
 	// The first load has r0 unknown in "other" (arg), so nothing
 	// statically resolvable inside other beyond possibly nothing.
-	mach, _ := machine.New(machine.PaperConfig(10))
-	hint := a.HintFor(mach)
+	hint := a.HintFor(machine.PaperConfig(10))
 	if _, ok := hint(1, hotspot.ClassL1D, 0); ok {
 		if a.Footprint(1) == 0 {
 			t.Error("hint must decline when the footprint is 0")
@@ -110,28 +109,47 @@ func TestAnalyzerCyclesTerminate(t *testing.T) {
 func TestHintPicksDoubleFootprint(t *testing.T) {
 	prog := leafProgram(512, 2, 10) // 4 KB footprint
 	a := NewAnalyzer(prog)
-	mach, _ := machine.New(machine.PaperConfig(10))
-	hint := a.HintFor(mach)
+	mc := machine.PaperConfig(10)
+	hint := a.HintFor(mc)
 	cfg, ok := hint(1, hotspot.ClassL1D, 6500)
 	if !ok {
 		t.Fatal("hint declined")
 	}
 	// 2×4 KB = 8 KB: the smallest setting suffices.
-	if got := mach.L1DUnit.Setting(cfg[0]); got != 8*1024 {
+	if got := mc.L1DSizes[cfg[0]]; got != 8*1024 {
 		t.Errorf("hinted L1D = %d, want 8K", got)
+	}
+	// An L2 hotspot with the same footprint reads the L2 ladder.
+	if cfg, ok := hint(1, hotspot.ClassL2, 6500); !ok || cfg[0] != 0 {
+		t.Errorf("L2 hint = %v, %v; want the smallest L2 setting", cfg, ok)
+	}
+}
+
+func TestHintDeclinesMicroClass(t *testing.T) {
+	// A data footprint says nothing about the issue queue a micro
+	// hotspot manages: the hint must decline so the hotspot takes the
+	// descent, even with the IQ unit enabled and a footprint known.
+	prog := leafProgram(512, 2, 10)
+	a := NewAnalyzer(prog)
+	if a.Footprint(1) == 0 {
+		t.Fatal("leaf footprint missing")
+	}
+	hint := a.HintFor(machine.PaperConfig(10).WithIQ())
+	if cfg, ok := hint(1, hotspot.ClassMicro, 500); ok {
+		t.Errorf("micro hint = %v, want declined", cfg)
 	}
 }
 
 func TestHintCapsAtLargest(t *testing.T) {
 	prog := leafProgram(8192, 1, 10) // 64 KB footprint: 2× exceeds max
 	a := NewAnalyzer(prog)
-	mach, _ := machine.New(machine.PaperConfig(10))
-	hint := a.HintFor(mach)
+	mc := machine.PaperConfig(10)
+	hint := a.HintFor(mc)
 	cfg, ok := hint(1, hotspot.ClassL1D, 50000)
 	if !ok {
 		t.Fatal("hint declined")
 	}
-	if cfg[0] != mach.L1DUnit.MaxIndex() {
+	if cfg[0] != len(mc.L1DSizes)-1 {
 		t.Errorf("hinted index = %d, want max", cfg[0])
 	}
 }
@@ -165,7 +183,7 @@ func TestStaticHintEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := DefaultParams(10)
-	p.StaticHint = a.HintFor(mach)
+	p.StaticHint = a.HintFor(machine.PaperConfig(10))
 	aos := vm.NewAOS(testVMParams(), mach, prog)
 	mgr, err := NewManager(p, mach, aos)
 	if err != nil {

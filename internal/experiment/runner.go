@@ -273,6 +273,20 @@ func IsTransient(err error) bool {
 	return errors.As(err, &re) && re.Transient
 }
 
+// RetryTransient is the one transient-retry policy: it calls run under
+// opt and, when that fails transiently, once more under opt's fault
+// plan minus its transient rules. Injection is deterministic, so
+// retrying the same plan would fail identically; persistent rules
+// keep firing and the retry's verdict stands.
+func RetryTransient[T any](opt Options, run func(Options) (T, error)) (T, error) {
+	v, err := run(opt)
+	if err != nil && IsTransient(err) {
+		opt.Faults = opt.Faults.WithoutTransient()
+		v, err = run(opt)
+	}
+	return v, err
+}
+
 // Run executes one benchmark under one scheme. The simulation is
 // isolated: a panic anywhere inside it — injected by a fault plan or
 // a genuine bug — is recovered and returned as a *RunError carrying
@@ -799,18 +813,9 @@ func runSuite[C any](opt Options, compare func(workload.Spec, Options) (C, error
 		go func(i int, spec workload.Spec) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			out[i], errs[i] = compare(opt.AdjustWorkload(spec), opt)
-			if errs[i] != nil && IsTransient(errs[i]) {
-				// A transient fault has cleared by the retry:
-				// re-run under the plan minus its transient rules
-				// (injection is deterministic, so retrying the
-				// same plan would fail identically). Persistent
-				// rules keep firing and the retry's verdict
-				// stands.
-				ropt := opt
-				ropt.Faults = opt.Faults.WithoutTransient()
-				out[i], errs[i] = compare(opt.AdjustWorkload(spec), ropt)
-			}
+			out[i], errs[i] = RetryTransient(opt, func(o Options) (C, error) {
+				return compare(o.AdjustWorkload(spec), o)
+			})
 			if opt.Log != nil {
 				n := done.Add(1)
 				logMu.Lock()

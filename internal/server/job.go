@@ -313,15 +313,9 @@ func runComparisonJob(spec JobSpec, opt experiment.Options, cancel <-chan struct
 			return nil, metas, &experiment.RunError{Benchmark: name, Err: experiment.ErrCanceled}
 		}
 		wspec, _ := workload.ByName(name)
-		c, err := experiment.Compare(opt.AdjustWorkload(wspec), opt)
-		if err != nil && experiment.IsTransient(err) {
-			// Mirror RunSuite's retry policy: injection is
-			// deterministic, so retry under the plan minus its
-			// transient rules and let the verdict stand.
-			ropt := opt
-			ropt.Faults = opt.Faults.WithoutTransient()
-			c, err = experiment.Compare(opt.AdjustWorkload(wspec), ropt)
-		}
+		c, err := experiment.RetryTransient(opt, func(o experiment.Options) (*experiment.Comparison, error) {
+			return experiment.Compare(o.AdjustWorkload(wspec), o)
+		})
 		if err != nil {
 			return nil, metas, err
 		}
@@ -360,12 +354,9 @@ func runSchemesJob(spec JobSpec, opt experiment.Options, cancel <-chan struct{})
 			return nil, metas, &experiment.RunError{Benchmark: name, Err: experiment.ErrCanceled}
 		}
 		wspec, _ := workload.ByName(name)
-		results, err := experiment.RunSchemes(opt.AdjustWorkload(wspec), opt, schemes)
-		if err != nil && experiment.IsTransient(err) {
-			ropt := opt
-			ropt.Faults = opt.Faults.WithoutTransient()
-			results, err = experiment.RunSchemes(opt.AdjustWorkload(wspec), ropt, schemes)
-		}
+		results, err := experiment.RetryTransient(opt, func(o experiment.Options) ([]*experiment.Result, error) {
+			return experiment.RunSchemes(o.AdjustWorkload(wspec), o, schemes)
+		})
 		if err != nil {
 			return nil, metas, err
 		}

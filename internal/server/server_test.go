@@ -165,6 +165,39 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestTransientRunPanicRetried: a job whose run panics through a
+// transient fault rule is retried once under the plan minus its
+// transient rules, so it completes with the clean job's result bytes.
+// Both job kinds, the comparison and the explicit scheme list, share
+// the one retry policy.
+func TestTransientRunPanicRetried(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1})
+	const faults = `"faults":{"seed":1,"rules":[{"point":"run","kind":"panic","scheme":"bbv","transient":true}]}`
+	for _, base := range []string{
+		`"benchmarks":["compress"],"scale":40`,
+		`"benchmarks":["compress"],"schemes":["baseline","bbv"],"scale":40`,
+	} {
+		var results [2][]byte
+		for i, spec := range []string{"{" + base + "}", "{" + base + "," + faults + "}"} {
+			code, _, body := postJob(t, ts.URL, spec)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit %s: status %d\n%s", spec, code, body)
+			}
+			var st JobStatus
+			if err := json.Unmarshal(body, &st); err != nil {
+				t.Fatal(err)
+			}
+			if final := waitState(t, ts.URL, st.ID, ""); final.State != StateDone {
+				t.Fatalf("%s: state %q, error %q; want done", spec, final.State, final.Error)
+			}
+			_, results[i] = getBody(t, ts.URL, "/v1/jobs/"+st.ID+"/result")
+		}
+		if !bytes.Equal(results[0], results[1]) {
+			t.Errorf("{%s}: retried result differs from the clean job's:\nclean: %s\nretried: %s", base, results[0], results[1])
+		}
+	}
+}
+
 // TestCacheHitDeterminism submits the same job twice: the second
 // submission must be answered from the result cache — born done with
 // byte-identical result bytes — without executing anything, pinned by
