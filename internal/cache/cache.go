@@ -214,45 +214,48 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 }
 
 // AccessWords is the batched form of Access for a run of data
-// accesses: each operand d is a block address of this cache (a byte
-// address shifted right by its block shift) shifted left once, with
-// the write flag in bit 0. It applies the operands in order and stops
-// after the first miss, returning how many it consumed and the last
-// one's Result — Hit when every operand hit, otherwise the miss with
-// its dirty eviction, which the caller propagates before it resumes on
-// the rest of ds. Every consumed operand changes the cache and its
-// stats exactly as one Access to an address in its block would; hits
-// keep the LRU clock and the hit count in locals, and an operand in
-// the block its predecessor hit skips the probe.
-func (c *Cache) AccessWords(ds []uint16) (int, Result) {
+// accesses, stored as entries: entry i is ks[i] consecutive accesses
+// to one block, whose operand ds[i] is the block's address in this
+// cache (a byte address shifted right by its block shift) shifted left
+// once, with the write flag in bit 0. It applies the entries in order
+// and stops after the first that misses, returning how many it
+// consumed and the last one's Result — Hit when every entry hit,
+// otherwise the miss with its dirty eviction, which the caller
+// propagates before it resumes on the rest of ds. Each entry probes
+// once: every consumed entry changes the cache and its stats exactly
+// as ks[i] calls to Access at addresses in its block would, each with
+// the entry's write flag (a miss fills, and the entry's other accesses
+// hit the filled line). Hits keep the LRU clock and the hit count in
+// locals. ks must be at least as long as ds, and every count at
+// least 1.
+func (c *Cache) AccessWords(ds []uint16, ks []uint8) (int, Result) {
 	lines, ways, mask := c.lines, c.ways, c.setMask
 	tick, hits := c.useTick, c.stats.Hits
-	// last is the block the previous operand hit, at line lw: only a
-	// miss evicts, and a miss ends the loop, so an operand in the same
-	// block hits that line without a probe.
-	last, lw := ^uint64(0), 0
+	ks = ks[:len(ds)]
+	var acc uint64
 	for i, d := range ds {
-		tick++
+		k := uint64(ks[i])
 		blockAddr := uint64(d >> 1)
-		if blockAddr != last {
-			base := int(blockAddr&mask) * ways
-			w := probe(lines, base, ways, blockAddr)
-			if w < 0 {
-				c.useTick, c.stats.Hits = tick, hits
-				c.stats.Accesses += uint64(i + 1)
-				return i + 1, c.fill(victim(lines, base, ways), blockAddr, d&1 != 0)
-			}
-			last, lw = blockAddr, w
+		base := int(blockAddr&mask) * ways
+		w := probe(lines, base, ways, blockAddr)
+		if w < 0 {
+			// The miss takes tick+1 and its k-1 trailing hits the
+			// ticks after it, so the filled line ends at tick+k.
+			c.useTick, c.stats.Hits = tick+k, hits+k-1
+			c.stats.Accesses += acc + k
+			return i + 1, c.fill(victim(lines, base, ways), blockAddr, d&1 != 0)
 		}
-		hits++
-		ln := &lines[lw]
+		tick += k
+		hits += k
+		acc += k
+		ln := &lines[w]
 		ln.lastUse = tick
 		if d&1 != 0 {
 			ln.dirty = true
 		}
 	}
 	c.useTick, c.stats.Hits = tick, hits
-	c.stats.Accesses += uint64(len(ds))
+	c.stats.Accesses += acc
 	return len(ds), Result{Hit: true}
 }
 
@@ -399,18 +402,6 @@ func (c *Cache) place(ln line) int {
 		return 1
 	}
 	return 0
-}
-
-// Flush writes back all dirty lines and invalidates the cache without
-// changing its size. Returns the number of write-backs performed.
-func (c *Cache) Flush() int {
-	wb := c.DirtyLines()
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	c.stats.Writebacks += uint64(wb)
-	c.stats.FlushWritebacks += uint64(wb)
-	return wb
 }
 
 // LineView is one valid line of a set in canonical form (ViewSet).

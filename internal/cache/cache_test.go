@@ -93,21 +93,6 @@ func TestWriteAllocateMarksDirty(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := MustNew("c", 1024, 64, 2)
-	c.Access(0, true)
-	c.Access(64, false)
-	if wb := c.Flush(); wb != 1 {
-		t.Errorf("Flush writebacks = %d, want 1", wb)
-	}
-	if c.ValidLines() != 0 {
-		t.Errorf("ValidLines after flush = %d, want 0", c.ValidLines())
-	}
-	if c.Stats().FlushWritebacks != 1 {
-		t.Errorf("FlushWritebacks = %d, want 1", c.Stats().FlushWritebacks)
-	}
-}
-
 func TestResizeNoop(t *testing.T) {
 	c := MustNew("c", 1024, 64, 2)
 	c.Access(0, true)

@@ -63,20 +63,32 @@ func FuzzCacheVsReference(f *testing.F) {
 }
 
 // FuzzAccessWords checks the batched kernel against the one-access
-// path: random batches of block operands, reads and writes, go through
-// AccessWords on one cache and one Access per operand, at a random
-// byte address in the operand's block, on a twin, for every
+// path: random batches of (operand, count) entries, reads and writes,
+// go through AccessWords on one cache, and each entry as count
+// sequential Access calls, each at a random byte address in the
+// entry's block with the entry's write flag, on a twin, for every
 // associativity the configuration search uses plus 16-way, with random
-// resizes between batches; half the operands stay in their
-// predecessor's block. After each batch the two must agree on stats,
-// the LRU clock, every set's lines (tags, last use, dirty bits), and
-// each miss's Result, in order.
+// resizes between batches. Counts cover 1–255, with 1 and 255 often;
+// a third of the entries stay in their predecessor's block, and the
+// blocks span three times the cache, so entries miss and evict dirty
+// lines. After each batch the two must agree on stats, the LRU clock,
+// every set's lines (tags, last use, dirty bits), and each miss's
+// Result, in order.
 func FuzzAccessWords(f *testing.F) {
 	for _, seed := range []int64{1, 7, 2024} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
+		count := func() uint8 {
+			switch rng.Intn(4) {
+			case 0:
+				return 1
+			case 1:
+				return 255
+			}
+			return uint8(1 + rng.Intn(255))
+		}
 		for _, ways := range []int{1, 2, 4, 8, 16} {
 			sizes := []int{4 * ways * 64, 8 * ways * 64, 16 * ways * 64, 32 * ways * 64}
 			c := MustNew("kernel", sizes[3], 64, ways)
@@ -96,31 +108,35 @@ func FuzzAccessWords(f *testing.F) {
 					}
 				}
 				ds := make([]uint16, rng.Intn(48))
+				ks := make([]uint8, len(ds))
 				for i := range ds {
 					block := rng.Intn(span)
-					if i > 0 && rng.Intn(2) == 0 {
+					if i > 0 && rng.Intn(3) == 0 {
 						block = int(ds[i-1] >> 1)
 					}
 					ds[i] = uint16(block) << 1
 					if rng.Intn(3) == 0 {
 						ds[i] |= 1
 					}
+					ks[i] = count()
 				}
 				var got, want []Result
-				for rest := ds; len(rest) > 0; {
-					n, r := c.AccessWords(rest)
+				for rest, rk := ds, ks; len(rest) > 0; {
+					n, r := c.AccessWords(rest, rk)
 					if n < 1 || n > len(rest) || r.Hit && n != len(rest) {
 						t.Fatalf("%d-way batch %d: consumed %d of %d, hit %v", ways, batch, n, len(rest), r.Hit)
 					}
 					if !r.Hit {
 						got = append(got, r)
 					}
-					rest = rest[n:]
+					rest, rk = rest[n:], rk[n:]
 				}
-				for _, d := range ds {
-					addr := uint64(d>>1)<<6 | uint64(rng.Intn(64))
-					if r := twin.Access(addr, d&1 != 0); !r.Hit {
-						want = append(want, r)
+				for i, d := range ds {
+					for k := ks[i]; k > 0; k-- {
+						addr := uint64(d>>1)<<6 | uint64(rng.Intn(64))
+						if r := twin.Access(addr, d&1 != 0); !r.Hit {
+							want = append(want, r)
+						}
 					}
 				}
 				if !reflect.DeepEqual(got, want) {

@@ -209,3 +209,36 @@ func TestRunSuiteLogsProgress(t *testing.T) {
 		t.Errorf("progress lines = %d, want %d:\n%s", lines, len(cs), log.String())
 	}
 }
+
+// TestSinkDoesNotChangeResults: telemetry observes a run and must not
+// steer it. The interval sampler reads the energy meters at every
+// interval; a read that closed a leakage epoch would split the epoch's
+// leakage into two rounded adds and move the run's energies in their
+// last digit. So a run with a Buffer sink must give the result of the
+// same run without one, for every scheme.
+func TestSinkDoesNotChangeResults(t *testing.T) {
+	spec, ok := workload.ByName("jess")
+	if !ok {
+		t.Fatal("no jess benchmark")
+	}
+	for _, scheme := range []Scheme{SchemeBaseline, SchemeHotspot, SchemeBBV} {
+		plain, err := Run(spec, scheme, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := DefaultOptions()
+		var buf telemetry.Buffer
+		opt.Sink = &buf
+		observed, err := Run(spec, scheme, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf.Count(telemetry.TypeInterval) == 0 {
+			t.Fatalf("%s: the sink saw no interval samples", scheme)
+		}
+		if !sameSim(plain, observed) {
+			t.Errorf("%s: results differ with a sink: L1D %v nJ vs %v without, L2 %v vs %v",
+				scheme, observed.L1DEnergyNJ, plain.L1DEnergyNJ, observed.L2EnergyNJ, plain.L2EnergyNJ)
+		}
+	}
+}

@@ -483,26 +483,30 @@ func (m *Machine) ReplayData(wordAddr uint64, write bool) {
 }
 
 // ReplayDataWords applies a run of recorded data accesses whose D-TLB
-// outcomes are charged separately, each operand the index of the
-// access's isa.DBlockBytes block shifted left once, with the write
-// flag in bit 0. It is exactly one ReplayData per operand, in order:
-// the L1D indexes at that block size and the L2 at a coarser one, so an
-// access anywhere in the block finds the same set and tag. The L1D
-// meter takes the whole run in one AccessRepeat, bit-exact with one
-// Access per operand, and no other L1D-meter charge can fall between
-// two of them (a miss charges only the L2 meter and the timing model).
-// The cache walks the operands in one loop (cache.Cache.AccessWords)
-// and hands back each miss, whose L2 traffic and stall apply here
-// before the walk resumes.
-func (m *Machine) ReplayDataWords(ds []uint16) {
-	m.ML1D.AccessRepeat(uint64(len(ds)))
+// outcomes are charged separately, stored as entries: entry i is ks[i]
+// consecutive accesses to one isa.DBlockBytes block, whose operand
+// ds[i] is the block's index shifted left once, with the write flag in
+// bit 0. It is exactly ks[i] ReplayData calls per entry, in order, each
+// with the entry's write flag: the L1D indexes at that block size and
+// the L2 at a coarser one, so an access anywhere in the block finds
+// the same set and tag. The cache walks the entries in one loop, one
+// probe each (cache.Cache.AccessWords), and hands back each miss,
+// whose L2 traffic and stall apply here before the walk resumes; the
+// entry's trailing hits touch only the L1D, so applying them before
+// the miss's L2 traffic changes nothing. The L1D meter then takes the
+// run's accesses in one AccessRepeat, bit-exact with one Access per
+// access, and no other L1D-meter charge falls among them (a miss
+// charges only the L2 meter and the timing model).
+func (m *Machine) ReplayDataWords(ds []uint16, ks []uint8) {
+	before := m.L1D.Stats().Accesses
 	for len(ds) > 0 {
-		n, r := m.L1D.AccessWords(ds)
+		n, r := m.L1D.AccessWords(ds, ks)
 		if !r.Hit {
 			m.l1dResult(uint64(ds[n-1]>>1)<<isa.DBlockShift, r)
 		}
-		ds = ds[n:]
+		ds, ks = ds[n:], ks[n:]
 	}
+	m.ML1D.AccessRepeat(m.L1D.Stats().Accesses - before)
 }
 
 // l1dResult propagates an L1D access's outcome at byte address addr
@@ -592,6 +596,26 @@ func (m *Machine) Snapshot() Snapshot {
 	if m.MIQ != nil {
 		m.MIQ.Finalize(cyc)
 		snap.IQnJ = m.MIQ.Totals().TotalNJ()
+	}
+	return snap
+}
+
+// Observe returns what Snapshot would, except that each meter's
+// leakage reads up to the current cycle without closing its epoch
+// (power.Meter.TotalsAt): the reading changes no state, so an
+// observer such as a telemetry sampler cannot move a later Snapshot's
+// energy by a rounding step. Its energies may differ from a Snapshot
+// taken at the same point in the last digit.
+func (m *Machine) Observe() Snapshot {
+	cyc := m.Timing.Cycles()
+	snap := Snapshot{
+		Instr:  m.instructions,
+		Cycles: cyc,
+		L1DnJ:  m.ML1D.TotalsAt(cyc).TotalNJ(),
+		L2nJ:   m.ML2.TotalsAt(cyc).TotalNJ(),
+	}
+	if m.MIQ != nil {
+		snap.IQnJ = m.MIQ.TotalsAt(cyc).TotalNJ()
 	}
 	return snap
 }

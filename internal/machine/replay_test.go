@@ -37,7 +37,7 @@ func TestReplayMatchesDirect(t *testing.T) {
 		fetches = append(fetches, fetch{first, last, tlb, miss})
 		direct.IssueBatch(uint64(10 + i))
 		for j := 0; j < 5; j++ {
-			addr := uint64(i*200 + j*13)
+			addr := uint64(i*200 + j*j*3) // the first two share a data block
 			write := (i+j)%3 == 0
 			datas = append(datas, data{addr, write, direct.Data(addr, write)})
 		}
@@ -45,15 +45,17 @@ func TestReplayMatchesDirect(t *testing.T) {
 	}
 
 	// Each block's five accesses replay as one ReplayDataWords run of
-	// block operands, but the last block's as single ReplayData calls
-	// at the full word address, and the D-TLB misses are charged apart
-	// from the cache walk.
+	// block-operand entries, consecutive accesses to one data block
+	// folded into one entry with their write flags ORed, but the last
+	// block's as single ReplayData calls at the full word address, and
+	// the D-TLB misses are charged apart from the cache walk.
 	replay := newMach(t)
 	di, bi := 0, 0
 	for i, f := range fetches {
 		replay.ReplayFetchLines(f.first, f.last, f.tlbMask, f.missMask)
 		replay.IssueBatch(uint64(10 + i))
 		var run []uint16
+		var counts []uint8
 		for j := 0; j < 5; j++ {
 			d := datas[di]
 			di++
@@ -68,9 +70,15 @@ func TestReplayMatchesDirect(t *testing.T) {
 			if d.write {
 				op |= 1
 			}
+			if n := len(run); n > 0 && run[n-1]>>1 == op>>1 {
+				run[n-1] |= op
+				counts[n-1]++
+				continue
+			}
 			run = append(run, op)
+			counts = append(counts, 1)
 		}
-		replay.ReplayDataWords(run)
+		replay.ReplayDataWords(run, counts)
 		if !branches[bi].correct {
 			replay.ChargeMispredicts(1)
 		}

@@ -354,3 +354,15 @@ func (t Totals) TotalNJ() float64 { return t.DynamicNJ + t.LeakageNJ + t.FlushNJ
 func (m *Meter) Totals() Totals {
 	return Totals{DynamicNJ: m.dynNJ, LeakageNJ: m.leakNJ, FlushNJ: m.flushNJ}
 }
+
+// TotalsAt returns the accumulated energy with leakage charged up to
+// nowCycles, without closing the current leakage epoch: unlike
+// Finalize followed by Totals, it leaves the meter as it was, so a
+// read cannot split an epoch's leakage into two rounded adds.
+func (m *Meter) TotalsAt(nowCycles uint64) Totals {
+	t := m.Totals()
+	if nowCycles > m.epochStart {
+		t.LeakageNJ += float64(nowCycles-m.epochStart) * m.curLeakNJ
+	}
+	return t
+}

@@ -21,12 +21,12 @@ const summaryMaxMemBytes = 576 << 20
 // for it, not the bytes in use — every segment of its streams and
 // tables in full, and the shape table's capacity.
 func summaryMemBytes(s *summary) int {
-	return s.ops.memBytes() + s.opnds.memBytes() + s.runs.memBytes() +
+	return s.groups.memBytes() + s.opnds.memBytes() + s.counts.memBytes() + s.runs.memBytes() +
 		cap(s.shapes)*int(unsafe.Sizeof(opShape{})) +
 		s.ext.memBytes() + s.data.memBytes()
 }
 
-// MemBytes reports the trace's resident memory: its summary's shape
+// MemBytes reports the trace's resident memory: its summary's group
 // and operand streams, runs, shape table and side tables — the number
 // cache budgets and telemetry charge.
 func (t *Trace) MemBytes() int { return summaryMemBytes(t.sum) }
@@ -55,8 +55,13 @@ var _ vm.Recorder = (*SummaryRecorder)(nil)
 // fixed-size segment at a time and never copy, so no recording needs
 // its length guessed up front.
 func NewSummaryRecorder(prog *program.Program, instrHint uint64) *SummaryRecorder {
+	return newRecorder(prog, prodLayout)
+}
+
+// newRecorder returns an empty recorder whose summary uses layout lay.
+func newRecorder(prog *program.Program, lay segLayout) *SummaryRecorder {
 	r := &SummaryRecorder{}
-	r.b.init(prog)
+	r.b.init(prog, lay)
 	return r
 }
 

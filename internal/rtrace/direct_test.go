@@ -37,11 +37,16 @@ func benchEngine(t *testing.T, bench string) (*program.Program, *vm.Engine, *mac
 	return prog, eng, mach
 }
 
-// recordDirect runs eng under a fresh recorder (with no size hint,
-// like every production caller) and seals the trace.
-func recordDirect(t *testing.T, prog *program.Program, eng *vm.Engine, budget uint64) *Trace {
+// testLayout is the tests' summary layout: segments of 4 to 32
+// entries, so even a short recording spans many of them and every walk
+// crosses segment boundaries, mid-run and mid-stretch.
+var testLayout = segLayout{groups: 4, opnds: 5, runs: 3, ext: 2, data: 3}
+
+// recordDirect runs eng under a fresh recorder whose summary uses
+// layout lay and seals the trace.
+func recordDirect(t *testing.T, prog *program.Program, eng *vm.Engine, budget uint64, lay segLayout) *Trace {
 	t.Helper()
-	rec := NewSummaryRecorder(prog, 0)
+	rec := newRecorder(prog, lay)
 	if err := eng.SetRecorder(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -55,26 +60,38 @@ func recordDirect(t *testing.T, prog *program.Program, eng *vm.Engine, budget ui
 	return tr
 }
 
-// directTrace records bench on a fresh engine and returns its program
-// and sealed trace. A zero budget runs to completion (complete trace);
-// a non-zero budget yields a truncated trace, which replays in
-// divergence-checking mode.
+// directTrace records bench on a fresh engine in the test layout and
+// returns its program and sealed trace. A zero budget runs to
+// completion (complete trace); a non-zero budget yields a truncated
+// trace, which replays in divergence-checking mode.
 func directTrace(t *testing.T, bench string, budget uint64) (*program.Program, *Trace) {
 	t.Helper()
 	prog, eng, _ := benchEngine(t, bench)
-	return prog, recordDirect(t, prog, eng, budget)
+	return prog, recordDirect(t, prog, eng, budget, testLayout)
 }
 
-// measuredRecording records bench to completion and reports the bytes
-// the recording allocated and the live heap it left behind, with the
-// program and engine built beforehand so neither counts.
+// suiteLayout is the layout of the suite-wide tests' recordings:
+// complete ones use every recording's layout, so the format gate
+// measures what a trace cache charges, and truncated ones the test
+// layout.
+func suiteLayout(budget uint64) segLayout {
+	if budget == 0 {
+		return prodLayout
+	}
+	return testLayout
+}
+
+// measuredRecording records bench to completion in the production
+// layout and reports the bytes the recording allocated and the live
+// heap it left behind, with the program and engine built beforehand so
+// neither counts.
 func measuredRecording(t *testing.T, bench string) (tr *Trace, allocated, live int64) {
 	t.Helper()
 	prog, eng, _ := benchEngine(t, bench)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	tr = recordDirect(t, prog, eng, 0)
+	tr = recordDirect(t, prog, eng, 0, prodLayout)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	// The engine (and its machine) must outlive the "after" reading,
@@ -84,35 +101,35 @@ func measuredRecording(t *testing.T, bench string) (tr *Trace, allocated, live i
 }
 
 // suiteTruncation is the budget of the suite-wide tests' truncated
-// recordings: the smallest round budget at which every suite workload's
-// truncated trace has a run whose operands cross a segment boundary
-// (requireSegments); at 2 M instructions mpeg's has none.
+// recordings: a few million instructions, enough to promote hotspots
+// and cross many probe intervals on every suite workload.
 const suiteTruncation = 3_000_000
 
-// requireSegments fails unless s spans at least three shape segments
-// and some run's data operands straddle an operand-segment boundary, so
+// requireSegments fails unless s spans at least three group segments
+// and some run's operand-stream entries straddle a segment boundary, so
 // a differential test using it crosses segment boundaries both inside
 // the run walk's data loop and in listener replays.
 func requireSegments(t *testing.T, label string, s *summary) {
 	t.Helper()
-	if len(s.ops.segs) < 3 {
-		t.Fatalf("%s: %d ops in %d shape segments, want at least 3 segments", label, s.ops.n, len(s.ops.segs))
+	if len(s.groups.segs) < 3 {
+		t.Fatalf("%s: %d groups in %d segments, want at least 3 segments", label, s.groups.n, len(s.groups.segs))
 	}
 	if !runStraddlesSegment(s) {
-		t.Fatalf("%s: no run's data operands cross an operand-segment boundary", label)
+		t.Fatalf("%s: no run's operand-stream entries cross a segment boundary", label)
 	}
 }
 
-// runStraddlesSegment reports whether some run's data operands span
-// two operand segments.
+// runStraddlesSegment reports whether some run's operand-stream
+// entries span two segments.
 func runStraddlesSegment(s *summary) bool {
-	pos := 0 // the run's first operand
+	pos := 0 // the run's first entry
 	found := false
 	forEachRun(s, func(r sumRun) {
-		if r.nData > 1 && pos>>streamShift != (pos+int(r.nData)-1)>>streamShift {
+		n := int(r.nEnt)
+		if n > 1 && pos>>s.opnds.shift != (pos+n-1)>>s.opnds.shift {
 			found = true
 		}
-		pos += int(r.nData)
+		pos += n
 		if s.shapes[r.shape].w&opDataBit != 0 {
 			pos++
 		}
@@ -127,6 +144,27 @@ func forEachRun(s *summary, f func(r sumRun)) {
 			f(r)
 		}
 	}
+}
+
+// streamCounts is a summary's op and packed-access totals, and how
+// many groups and operand-stream entries encode them.
+type streamCounts struct {
+	ops, groups, accesses, entries int
+}
+
+func countStreams(s *summary) streamCounts {
+	c := streamCounts{groups: s.groups.n, entries: s.opnds.n}
+	for si := range s.groups.segs {
+		for _, g := range s.groups.seg(si) {
+			c.ops += int(g.n)
+		}
+	}
+	for si := range s.counts.segs {
+		for _, k := range s.counts.seg(si) {
+			c.accesses += int(k)
+		}
+	}
+	return c
 }
 
 // blockLog folds every block-listener call into an order-sensitive
@@ -241,7 +279,9 @@ func checkProbes(t *testing.T, label string, prog *program.Program, tr *Trace, w
 // counters, L1D/L2 stats and LRU clocks, every set's content, and the
 // timing breakdown — both on the fused path and with a block listener,
 // which must also fire exactly as the recording run's did.
-// Every complete recording must also cost at most 4.5 bytes per op.
+// Every complete recording must also cost at most formatMaxBytesPerOp
+// bytes per op, with at most one shape group per 20 ops and one
+// operand-stream entry per 5/3 packed accesses.
 func TestReplayMatchesRecording(t *testing.T) {
 	for _, spec := range workload.Suite() {
 		for _, budget := range []uint64{0, suiteTruncation} {
@@ -253,18 +293,14 @@ func TestReplayMatchesRecording(t *testing.T) {
 			var direct blockLog
 			directProbe := newProbe(mach, probeEvery, false)
 			eng.SetBlockListener(tee{&direct, directProbe})
-			tr := recordDirect(t, prog, eng, budget)
+			tr := recordDirect(t, prog, eng, budget, suiteLayout(budget))
 			if tr.Truncated() != (budget != 0) {
 				t.Errorf("%s: truncated = %v", label, tr.Truncated())
 			}
 			s := tr.summaryFor(prog)
 			requireSegments(t, label, s)
-			// Format size: an op costs 2 bytes of shape stream plus
-			// 2 of operand when it has a packed data access (74-92%
-			// of a suite trace's ops); runs, the shape and side tables
-			// and the segments' slack must fit the rest.
-			if mem := tr.MemBytes(); budget == 0 && 2*mem > 9*s.ops.n {
-				t.Errorf("%s: MemBytes %d for %d ops (%.2f bytes/op), want <= 4.5", label, mem, s.ops.n, float64(mem)/float64(s.ops.n))
+			if budget == 0 {
+				checkFormatSize(t, label, tr, s)
 			}
 			want := machineState(mach)
 
@@ -290,16 +326,47 @@ func TestReplayMatchesRecording(t *testing.T) {
 	}
 }
 
+// formatMaxBytesPerOp bounds a complete suite trace's MemBytes per op:
+// mtrt, the densest, needs 1.65 (more than half its packed accesses
+// start a new operand-stream entry), and the bound allows about 15%
+// over that.
+const formatMaxBytesPerOp = 1.9
+
+// checkFormatSize holds a complete suite trace to the format's size:
+// MemBytes per op within formatMaxBytesPerOp, shape groups at most 5%
+// of its ops and operand-stream entries at most 60% of its packed
+// accesses. It logs each stream's size, in MB.
+func checkFormatSize(t *testing.T, label string, tr *Trace, s *summary) {
+	t.Helper()
+	c := countStreams(s)
+	mem := tr.MemBytes()
+	if perOp := float64(mem) / float64(c.ops); perOp > formatMaxBytesPerOp {
+		t.Errorf("%s: MemBytes %d for %d ops (%.2f bytes/op), want <= %.2f", label, mem, c.ops, perOp, formatMaxBytesPerOp)
+	}
+	if 20*c.groups > c.ops {
+		t.Errorf("%s: %d shape groups for %d ops, want <= 5%%", label, c.groups, c.ops)
+	}
+	if 5*c.entries > 3*c.accesses {
+		t.Errorf("%s: %d operand-stream entries for %d packed accesses, want <= 60%%", label, c.entries, c.accesses)
+	}
+	mb := func(n int) float64 { return float64(n) / 1e6 }
+	t.Logf("%s: %d ops, %d groups, %d packed accesses in %d entries; MB: groups %.2f operands %.2f runs %.2f ext %.2f total %.2f (%.2f bytes/op)",
+		label, c.ops, c.groups, c.accesses, c.entries,
+		mb(s.groups.memBytes()), mb(s.opnds.memBytes()+s.counts.memBytes()), mb(s.runs.memBytes()),
+		mb(s.ext.memBytes()+s.data.memBytes()), mb(mem), float64(mem)/float64(c.ops))
+}
+
 // checkSameSummary fails unless two summaries are op-identical: the
-// same shape and operand streams, runs, shape and side tables, and
+// same group and operand streams, runs, shape and side tables, and
 // program fingerprint.
 func checkSameSummary(t *testing.T, label string, want, got *summary) {
 	t.Helper()
 	if want == nil || got == nil {
 		t.Fatalf("%s: missing summary (want %v, got %v)", label, want != nil, got != nil)
 	}
-	checkSameSeq(t, label+": shape stream", &want.ops, &got.ops)
-	checkSameSeq(t, label+": operand stream", &want.opnds, &got.opnds)
+	checkSameSeq(t, label+": group stream", &want.groups, &got.groups)
+	checkSameSeq(t, label+": operands", &want.opnds, &got.opnds)
+	checkSameSeq(t, label+": operand counts", &want.counts, &got.counts)
 	checkSameSeq(t, label+": runs", &want.runs, &got.runs)
 	checkSameSeq(t, label+": ext records", &want.ext, &got.ext)
 	checkSameSeq(t, label+": ext accesses", &want.data, &got.data)
@@ -330,10 +397,9 @@ func checkSameSeq[T comparable](t *testing.T, label string, want, got *seq[T]) {
 
 // TestDirectSummaryOpIdentical: the summary a recording builds depends
 // only on the run's architectural stream. Across every suite workload,
-// complete and truncated, a recording made on a plain engine with no
-// size hint and one made on an engine with a block listener attached
-// and an instruction-count hint must be op-identical, with the same
-// event count and truncation flag.
+// complete and truncated, a recording made on a plain engine and one
+// made on an engine with a block listener attached must be
+// op-identical, with the same event count and truncation flag.
 func TestDirectSummaryOpIdentical(t *testing.T) {
 	for _, spec := range workload.Suite() {
 		for _, budget := range []uint64{0, suiteTruncation} {
@@ -341,13 +407,14 @@ func TestDirectSummaryOpIdentical(t *testing.T) {
 			if budget != 0 {
 				label += "/truncated"
 			}
-			prog, eng, mach := benchEngine(t, spec.Name)
-			plain := recordDirect(t, prog, eng, budget)
+			lay := suiteLayout(budget)
+			prog, eng, _ := benchEngine(t, spec.Name)
+			plain := recordDirect(t, prog, eng, budget, lay)
 
 			prog2, eng, _ := benchEngine(t, spec.Name)
 			var log blockLog
 			eng.SetBlockListener(&log)
-			rec := NewSummaryRecorder(prog2, mach.Instructions())
+			rec := newRecorder(prog2, lay)
 			if err := eng.SetRecorder(rec); err != nil {
 				t.Fatal(err)
 			}
@@ -390,11 +457,11 @@ func TestBaselineModeRecordingOpIdentical(t *testing.T) {
 				label += "/truncated"
 			}
 			prog, eng, _ := benchEngine(t, bench)
-			optimized := recordDirect(t, prog, eng, budget)
+			optimized := recordDirect(t, prog, eng, budget, testLayout)
 
 			prog2, eng, _ := benchEngine(t, bench)
 			eng.SetMode(vm.ModeBaseline)
-			stepped := recordDirect(t, prog2, eng, budget)
+			stepped := recordDirect(t, prog2, eng, budget, testLayout)
 
 			if stepped.Truncated() != optimized.Truncated() {
 				t.Errorf("%s: truncated %v, want %v", label, stepped.Truncated(), optimized.Truncated())
@@ -491,10 +558,10 @@ func TestDirectTraceMemBytes(t *testing.T) {
 // charges against its budget, so it must be the memory a trace keeps
 // resident — whole stream segments and table capacity, not the bytes
 // in use. The live heap a recording leaves behind must match it to
-// within one operand segment.
+// within one operand-stream segment (operands and counts).
 func TestMemBytesChargesAllocation(t *testing.T) {
 	tr, _, live := measuredRecording(t, "compress")
-	const segBytes = int64(unsafe.Sizeof(uint16(0))) << streamShift
+	segBytes := int64(unsafe.Sizeof(uint16(0))+unsafe.Sizeof(uint8(0))) << prodLayout.opnds
 	mem := int64(tr.MemBytes())
 	if d := live - mem; d > segBytes || d < -segBytes {
 		t.Errorf("MemBytes = %d, live heap after recording = %d: off by %d, want within one segment (%d)", mem, live, d, segBytes)
@@ -502,9 +569,10 @@ func TestMemBytesChargesAllocation(t *testing.T) {
 	runtime.KeepAlive(tr)
 }
 
-// TestRecordDoesNotCopyOpStream: recording grows the op stream a
-// segment at a time and never copies it, so a full recording with no
-// size hint allocates little beyond what the trace keeps. A doubling
+// TestRecordDoesNotCopyOpStream: recording grows its streams a
+// segment at a time and never copies them, so a full recording with no
+// size hint allocates little beyond what the trace keeps (db's
+// allocates 1.01 times its MemBytes). A doubling
 // stream allocates about twice its final size, and more when the
 // final arrays are left part empty.
 func TestRecordDoesNotCopyOpStream(t *testing.T) {

@@ -60,15 +60,67 @@ const (
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// appendData appends a cData call: a one-access body delta words from
+// the previous access, its delta zigzag-encoded and escaped when it
+// does not fit inline.
+func appendData(in []byte, write bool, delta int64) []byte {
+	var w byte
+	if write {
+		w = 1
+	}
+	z := uint64(delta<<1 ^ delta>>63)
+	if z < escape>>1 {
+		return append(in, cData|(byte(z)<<1|w)<<3)
+	}
+	in = append(in, cData|(escape>>1<<1|w)<<3)
+	return binary.AppendUvarint(in, z)
+}
+
+// longStretchInput is one run of 300 block ops of one shape, each
+// reading or writing one word of a data block: a shape group, and a
+// same-block stretch longer than an operand-stream entry's 255
+// accesses.
+var longStretchInput = func() []byte {
+	in := []byte{cEnter}
+	for i := 0; i < 300; i++ {
+		in = append(in, cBlock|1<<3, cBatch|2<<3)
+		var delta int64
+		if i == 0 {
+			delta = 40
+		}
+		in = appendData(in, i%5 == 0, delta)
+	}
+	return append(in, cExit, cExt|extEndHalted<<3)
+}()
+
+// boundaryInput puts boundary ops back to back — two entries, two
+// exits, two halts — and gives each a data access in the block of the
+// access before it, which must stay an entry of its own.
+var boundaryInput = func() []byte {
+	in := []byte{cEnter, cBlock | 1<<3}
+	in = appendData(in, true, 40)
+	in = append(in, cEnter)
+	in = appendData(in, false, 0)
+	in = append(in, cExit)
+	in = appendData(in, true, 1)
+	in = append(in, cExit)
+	in = appendData(in, false, 0)
+	in = append(in, cEnter, cBlock|1<<3)
+	in = appendData(in, false, -1)
+	in = append(in, cHalt)
+	in = appendData(in, true, 0)
+	return append(in, cHalt, cExt|extEndHalted<<3)
+}()
+
 // driveDirect maps any byte string to a vm.Recorder call sequence on a
-// fresh SummaryRecorder and seals it. Retire batches, data accesses and
+// fresh recorder in the test layout and seals it. Retire batches, data accesses and
 // branch verdicts each become one RecordBody call, in the forms the
 // engine's stepped path uses. The sequence ends at an end-call
 // opcode, or — when the input runs out or an operand does not decode —
 // with Finish(!truncated). batch is the saturating sum of the retire
 // batches fed in.
 func driveDirect(data []byte, truncated bool) (tr *Trace, batch uint64, err error) {
-	r := NewSummaryRecorder(fuzzProg, 0)
+	r := newRecorder(fuzzProg, testLayout)
 	var prevAddr uint64
 	body := make([]uint64, 1)
 	access := func(write, tlbMiss bool) {
@@ -175,8 +227,9 @@ func driveDirect(data []byte, truncated bool) (tr *Trace, batch uint64, err erro
 // machines; and a folding listener sees what the exact walk shows it.
 func FuzzRecorderCalls(f *testing.F) {
 	// Seeds: an empty sequence, lone end calls, a tiny valid sequence, a
-	// truncated one, escaped operands, masked entries, garbage, and bodies
-	// that must take the ext path.
+	// truncated one, escaped operands, masked entries, garbage, bodies
+	// that must take the ext path, a long group and same-block stretch,
+	// and back-to-back boundary ops.
 	f.Add([]byte{}, false)
 	f.Add([]byte{cExt | extEndHalted<<3}, false)
 	f.Add([]byte{cExt | extEndBudget<<3}, true)
@@ -187,6 +240,8 @@ func FuzzRecorderCalls(f *testing.F) {
 	f.Add([]byte{cBlock | 3<<3, cExit, cExit}, false)
 	f.Add([]byte{0xFF, 0xFE, 0xFD, 0x01, 0x02}, true)
 	f.Add(extPathInput, false) // wide and multi-access bodies: the ext path
+	f.Add(longStretchInput, false)
+	f.Add(boundaryInput, false)
 
 	f.Fuzz(func(t *testing.T, data []byte, truncated bool) {
 		okErr := func(label string, err error) {

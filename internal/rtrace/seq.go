@@ -6,8 +6,8 @@ import "unsafe"
 // entries: add starts a fresh segment when the last one is full, so a
 // recording never copies what it has written and needs no length
 // guessed up front, and a sealed list carries at most one partly
-// filled segment of slack. A summary keeps its two streams and its
-// run, ext and data tables in seqs.
+// filled segment of slack. A summary keeps its streams and its run,
+// ext and data tables in seqs.
 type seq[T any] struct {
 	segs  [][]T
 	tail  []T // segs' last segment, being filled
@@ -28,6 +28,10 @@ func (l *seq[T]) add(v T) {
 	l.tail[k] = v
 	l.n++
 }
+
+// last returns the last entry, for updating it in place. The list
+// must not be empty.
+func (l *seq[T]) last() *T { return &l.tail[(l.n-1)&(1<<l.shift-1)] }
 
 // seg returns segment i's entries.
 func (l *seq[T]) seg(i int) []T {

@@ -10,35 +10,58 @@
 // instruction count: the suite's traces record millions of ops, the
 // replay loop is memory-bound, and a candidate search replays one trace
 // dozens of times. So the recording is stored as three streams, each
-// read only by the walk that needs it:
+// read only by the walk that needs it, and both op-level streams are
+// run-length encoded, because both are almost all repetition:
 //
-//   - The shape stream: two bytes per op, an index into a per-trace
-//     table of interned op shapes (the op's kind and body counts, plus
-//     its block's pc). A stream repeats a few hundred shapes millions
-//     of times, so the table stays in L1; it is capped at 65 536
-//     shapes, and a recording that needs more fails Finish and runs
-//     directly. Only replays with a block listener (the BBV and WSS
-//     schemes' accumulators, the telemetry sampler) read it: they count
-//     a run's block ops by shape and hand the counts to the listener in
-//     bulk, and walk op by op only the runs in which the listener's
-//     next interval bound (vm.BlockListener's Due) falls.
-//   - The operand stream: two bytes per op whose shape has the data
-//     bit — the body's single data access as the index of its
-//     isa.DBlockBytes data block, shifted left once, with the write
-//     flag in bit 0. Every data cache a replay drives indexes at that
-//     block size or a coarser one, and the D-TLB outcome is recorded
-//     in the shape, so the word within the block is never needed. A
-//     block index past 15 bits (data beyond 2 MB) makes the op an ext
-//     record, which keeps the full address.
+//   - The shape stream: one group per stretch of consecutive ops of one
+//     shape, its index into a per-trace table of interned op shapes (the
+//     op's kind and body counts, plus its block's pc) and its op count,
+//     2 bytes each. A loop's blocks repeat a few hundred shapes millions
+//     of times, and a one-block loop is one group. The table stays in
+//     L1; it is capped at 65 536 shapes, and a recording that needs
+//     more fails Finish and runs directly. A boundary op is always a
+//     group of its own, so runs never share a group, and a group longer
+//     than 65 535 ops splits. Only replays with a block listener (the
+//     BBV and WSS schemes' accumulators, the telemetry sampler) read
+//     it: they count a run's block ops a group at a time and hand the
+//     counts to the listener in bulk, and walk op by op only the runs in
+//     which the listener's next interval bound (vm.BlockListener's Due)
+//     falls.
+//   - The operand stream: one entry per stretch of consecutive packed
+//     data accesses to one data block within a run (a word walk over a
+//     block is one entry), an operand of two bytes and a one-byte count
+//     in a parallel list. The operand is the block's index as an
+//     isa.DBlockBytes block, shifted left once, with the ORed write
+//     flags of the stretch's accesses in bit 0. Every data cache a
+//     replay drives indexes at that block size or a coarser one, and
+//     the D-TLB outcome is recorded in the shape, so the word within the
+//     block is never needed. A stretch longer than 255 accesses splits.
+//     The boundary op's own access is an entry of its own. A block
+//     index past 15 bits (data beyond 2 MB) makes the op an ext record,
+//     which keeps the full address.
 //   - Runs: the recorder folds each straight-line stretch of foldable
 //     ops (opSeq/opBlock, packed) into one record as it goes — retire
-//     batch, mispredicts, D-TLB misses and data count — closed by the
-//     next boundary op, whose shape index the run keeps. Every replay
-//     walks runs: the run's data operands in order, three bulk charges,
-//     then the boundary op. A run's operands are contiguous in the
-//     operand stream, so each slice of them goes through the L1D model
-//     in one loop (machine.ReplayDataWords): one L1D meter charge per
-//     slice, and only misses leave the loop for the L2.
+//     batch, mispredicts, D-TLB misses, data accesses and the entries
+//     that hold them — closed by the next boundary op, whose shape
+//     index the run keeps. Every replay walks runs: the run's data
+//     entries in order, three bulk charges, then the boundary op. A
+//     run's entries are contiguous in the operand stream, so each slice
+//     of them goes through the L1D model in one loop, one probe per
+//     entry (machine.ReplayDataWords): one L1D meter charge per slice,
+//     and only misses leave the loop for the L2.
+//
+// Folding a stretch into one entry is exact. Its accesses hit one
+// block back to back, so after the first access the block is the
+// cache's most recently used, and every later access of the stretch
+// hits it: one probe finds it, and the stretch's stats and LRU ticks
+// follow from the count. Setting the dirty bit at the first access
+// instead of at the first write can show only through that block's
+// eviction or a resize's writebacks. No access in between can evict
+// it, and a resize (a BBV boundary can fall between two ops of a run)
+// keeps the most recently used block of every set, so it keeps this
+// one, dirty or not. Nothing else reads dirty bits: machine.Snapshot
+// reads no cache state, and the telemetry sampler reads only cache
+// stats.
 //
 // Every stream and table but the shape table is a seq, a list of
 // fixed-size segments, so the recorder appends a fresh segment when the
@@ -111,9 +134,9 @@ const (
 	maxOperand = 1<<(15+blockWordShift+1) - 1
 )
 
-// blockOperand returns the operand-stream entry of a body access
-// (wordAddr<<1 | write) within maxOperand: its data block's index
-// shifted left once, the write flag in bit 0.
+// blockOperand returns the operand of a body access (wordAddr<<1 |
+// write) within maxOperand: its data block's index shifted left once,
+// the write flag in bit 0.
 func blockOperand(d uint64) uint16 {
 	return uint16(d>>(blockWordShift+1)<<1 | d&1)
 }
@@ -126,31 +149,52 @@ type opShape struct {
 	pc uint32
 }
 
-// maxShapes caps a trace's shape table at what a shape-stream entry
-// can index.
+// maxShapes caps a trace's shape table at what a group's shape index
+// can hold.
 const maxShapes = 1 << 16
 
-// Segment sizes (seq shifts) of a summary's lists: 128 KiB segments
-// for the two streams, and a few hundred KiB at most of slack over all
-// the tables.
+// shapeGroup is one shape-stream entry: n consecutive ops (1 to
+// maxGroup) of shape index shape.
+type shapeGroup struct{ shape, n uint16 }
+
+// Run-length caps: the longest group, and the most accesses one
+// operand-stream entry counts.
 const (
-	streamShift = 16 // ops and operands: 2 bytes each
-	runShift    = 12 // runs: 40 bytes each
-	extShift    = 10 // ext records: 64 bytes each
-	dataShift   = 12 // ext accesses: 8 bytes each
+	maxGroup = 1<<16 - 1
+	maxCount = 1<<8 - 1
 )
+
+// segLayout holds a summary's segment sizes, as seq shifts. The
+// operand stream's operands and counts share one shift, so an entry's
+// two halves sit at the same position of their lists' segments.
+type segLayout struct{ groups, opnds, runs, ext, data uint }
+
+// prodLayout is every recording's layout: 128 KiB segments for the
+// group stream and the operands (64 KiB for the counts beside them),
+// and a few hundred KiB at most of slack over all the lists.
+var prodLayout = segLayout{
+	groups: 15, // 4 bytes each
+	opnds:  16, // 2 + 1 bytes each
+	runs:   12, // 40 bytes each
+	ext:    10, // 64 bytes each
+	data:   12, // 8 bytes each
+}
 
 // sumRun is one run: the folded charges of a straight-line stretch of
 // foldable ops, and the shape of the boundary op that closes it. Its
-// data operands are the next nData entries of the operand stream,
-// followed by the boundary op's own operand when its shape has one.
-// The counts are full-width so no run length can overflow them.
+// data accesses are the next nEnt entries of the operand stream,
+// followed by the boundary op's own entry when its shape has one. The
+// charge counts are full-width so no run length can overflow them;
+// nEnt fits the struct's padding, and a run of 2^32 entries would
+// outgrow summaryMaxMemBytes many times over, so Finish rejects any
+// trace a wrapped count could corrupt.
 type sumRun struct {
 	batch uint64 // retired instructions
-	nData uint64 // single data accesses, each one operand
+	nData uint64 // single data accesses
 	dtlb  uint64 // recorded D-TLB misses among them
 	br    uint64 // recorded branch mispredictions
 	shape uint16 // the boundary op's shape index
+	nEnt  uint32 // operand-stream entries holding the nData accesses
 }
 
 // sumExt is the unpacked form of a rare op: method entries (which need
@@ -173,14 +217,16 @@ type sumExt struct {
 	nLines    uint16 // opEnter/opBlock: I-lines in the fetch walk
 }
 
-// summary is a recording resolved against its program: the shape and
-// operand streams, the runs, the shape table every op indexes, the
-// ext records of the rare ops in op order, and the flat data-access
-// table of their bodies. Immutable once Finish seals it, and shared by
-// every concurrent replay of the trace.
+// summary is a recording resolved against its program: the group
+// (shape) stream, the operand stream's operands and counts, the runs,
+// the shape table every group indexes, the ext records of the rare ops
+// in op order, and the flat data-access table of their bodies.
+// Immutable once Finish seals it, and shared by every concurrent
+// replay of the trace.
 type summary struct {
-	ops     seq[uint16] // the shape stream: each op's summary.shapes index
-	opnds   seq[uint16] // the operand stream (blockOperand)
+	groups  seq[shapeGroup] // the shape stream, run-length encoded
+	opnds   seq[uint16]     // each operand-stream entry's operand (blockOperand)
+	counts  seq[uint8]      // each entry's access count, beside its operand
 	runs    seq[sumRun]
 	shapes  []opShape
 	ext     seq[sumExt]
@@ -307,21 +353,28 @@ type sumBuilder struct {
 	open   opBuild
 	body   []uint64 // current op's data accesses, wordAddr<<1|write
 	run    sumRun   // the open run (shape unset until it closes)
+	grp    uint32   // shape index of the open group; noGroup after a boundary op
 	memo   [1 << shapeMemoBits]shapeMemoSlot
 	index  map[opShape]uint32 // every interned shape's table index
 	err    error              // shape table overflow; fails Finish
 }
 
-func (b *sumBuilder) init(prog *program.Program) {
+// noGroup marks the builder's open group as closed: no shape index
+// equals it.
+const noGroup = maxShapes
+
+func (b *sumBuilder) init(prog *program.Program, lay segLayout) {
 	b.s = &summary{
-		ops:     newSeq[uint16](streamShift),
-		opnds:   newSeq[uint16](streamShift),
-		runs:    newSeq[sumRun](runShift),
-		ext:     newSeq[sumExt](extShift),
-		data:    newSeq[uint64](dataShift),
+		groups:  newSeq[shapeGroup](lay.groups),
+		opnds:   newSeq[uint16](lay.opnds),
+		counts:  newSeq[uint8](lay.opnds),
+		runs:    newSeq[sumRun](lay.runs),
+		ext:     newSeq[sumExt](lay.ext),
+		data:    newSeq[uint64](lay.data),
 		progSig: progSigOf(prog),
 	}
 	b.prog = prog
+	b.grp = noGroup
 	b.open = opBuild{kind: opSeq, method: -1}
 	b.index = make(map[opShape]uint32)
 	b.geo = make([][]blkGeom, prog.NumMethods())
@@ -372,8 +425,12 @@ func (b *sumBuilder) intern(m *shapeMemoSlot, w uint64, pc uint32) bool {
 // push commits one op: its interned shape index to the shape stream,
 // its operand (when the shape has the data bit) to the operand stream,
 // and its charges to the open run: a foldable op folds into the run, a
-// boundary op closes it. The direct-mapped memo answers the shape
-// lookup on the hot path; only a memo miss consults the map.
+// boundary op closes it. A foldable op of the open group's shape adds
+// one to that group, and a foldable op's access in the block of the
+// run's last entry adds one to that entry and ORs in its write flag; a
+// boundary op is a group of its own, and its access an entry of its
+// own. The direct-mapped memo answers the shape lookup on the hot
+// path; only a memo miss consults the map.
 func (b *sumBuilder) push(w uint64, pc uint32, operand uint16) {
 	m := &b.memo[((w^uint64(pc)<<40)*0x9E3779B97F4A7C15)>>(64-shapeMemoBits)]
 	if (m.w != w || m.pc != pc || m.idx == 0) && !b.intern(m, w, pc) {
@@ -381,23 +438,42 @@ func (b *sumBuilder) push(w uint64, pc uint32, operand uint16) {
 	}
 	idx := uint16(m.idx - 1)
 	s := b.s
-	s.ops.add(idx)
-	if w&opDataBit != 0 {
-		s.opnds.add(operand)
-	}
 	r := &b.run
 	if w&opBoundaryMask != 0 {
+		s.groups.add(shapeGroup{shape: idx, n: 1})
+		b.grp = noGroup
+		if w&opDataBit != 0 {
+			s.opnds.add(operand)
+			s.counts.add(1)
+		}
 		r.shape = idx
 		s.runs.add(*r)
 		*r = sumRun{}
 		return
 	}
+	if uint32(idx) == b.grp && s.groups.last().n < maxGroup {
+		s.groups.last().n++
+	} else {
+		s.groups.add(shapeGroup{shape: idx, n: 1})
+		b.grp = uint32(idx)
+	}
 	r.batch += w >> opBatchShift
 	r.br += w >> opBrShift & opBrMax
-	if w&opDataBit != 0 {
-		r.nData++
-		r.dtlb += w >> opTLBShift & 1
+	if w&opDataBit == 0 {
+		return
 	}
+	r.nData++
+	r.dtlb += w >> opTLBShift & 1
+	if r.nEnt != 0 {
+		if o, k := s.opnds.last(), s.counts.last(); *o>>1 == operand>>1 && *k < maxCount {
+			*o |= operand
+			*k++
+			return
+		}
+	}
+	s.opnds.add(operand)
+	s.counts.add(1)
+	r.nEnt++
 }
 
 // packedW is the shape word of the open op with its at most one data
@@ -631,11 +707,10 @@ type sumWalker struct {
 	data       cursor[uint64] // the next ext access
 
 	// With a listener: its Due as of the last entry that reached it,
-	// the block entries folded since the last flush by shape index (a
-	// trace within summaryMaxMemBytes holds far fewer than 2^32 ops),
-	// and the shape indices whose count is nonzero.
+	// the block entries folded since the last flush by shape index, and
+	// the shape indices whose count is nonzero.
 	due     uint64
-	counts  []uint32
+	counts  []uint64
 	pending []uint16
 }
 
@@ -657,7 +732,7 @@ func newSumWalker(t *Trace, s *summary, env Env) *sumWalker {
 	}
 	if w.listener != nil {
 		w.due = w.listener.Due()
-		w.counts = make([]uint32, len(s.shapes))
+		w.counts = make([]uint64, len(s.shapes))
 	}
 	return w
 }
@@ -668,12 +743,30 @@ func newSumWalker(t *Trace, s *summary, env Env) *sumWalker {
 // and opBlock=2 — are exactly the ones with both bits clear.
 const opBoundaryMask = opExtBit | 0b101
 
-// shapeCursor is the next op's place in the shape stream: segment si,
-// offset k.
-type shapeCursor struct{ si, k int }
+// groupCursor is the next group's place in the shape stream: segment
+// si, offset k.
+type groupCursor struct{ si, k int }
+
+// entryCursor reads the operand stream's entries: its operand and
+// count lists share a segment size, so their cursors move in lockstep.
+type entryCursor struct {
+	opnds  cursor[uint16]
+	counts cursor[uint8]
+}
+
+// take returns the next at most n (n > 0) entries' operands and
+// counts, stopping at the end of the current segment.
+func (c *entryCursor) take(n uint64) ([]uint16, []uint8) {
+	return c.opnds.take(n), c.counts.take(n)
+}
+
+// next returns the next entry's operand and count.
+func (c *entryCursor) next() (uint16, uint8) {
+	return *c.opnds.next(), *c.counts.next()
+}
 
 // walk replays the whole recording one run at a time. The end marker
-// always closes the last run (and is the shape stream's last op), so
+// always closes the last run (and is the shape stream's last group), so
 // the walk simply runs off the end.
 //
 // Within a run (consecutive seq/block ops — no method boundary, no end
@@ -689,8 +782,9 @@ type shapeCursor struct{ si, k int }
 // merged sampler poll delivers the same samples to the same frame
 // stack (vm.AOS.sampleDueN covers the contiguous retire range
 // identically however it is subdivided). Data accesses apply in
-// order, each exactly as one access would; a run's operand slice goes
-// to machine.ReplayDataWords in one call.
+// order, each exactly as one access would (an entry as its count of
+// accesses; see the package comment); a run's entries go to
+// machine.ReplayDataWords in one call per operand segment.
 // The boundary op then takes the exact per-op path, so AOS hooks and
 // reconfigurations observe the same machine state as an op-by-op walk.
 // Every ext op is a boundary op, and every walk applies each boundary
@@ -701,19 +795,19 @@ type shapeCursor struct{ si, k int }
 // below the run's end, and below the listener's Due an entry only
 // accumulates and commutes with every other (vm.BlockListener). So a
 // run that ends below Due applies in bulk too, and its block ops are
-// only counted by shape (fold) and handed over later through
-// Accumulate (flush): before the first entry that reaches Due, and at
-// the end of the walk. A run that reaches Due walks op by op
+// only counted by shape a group at a time (fold) and handed over later
+// through Accumulate (flush): before the first entry that reaches Due,
+// and at the end of the walk. A run that reaches Due walks op by op
 // (exactRun). A listener whose Due is 0 makes every run exact; that is
 // the reference walk. Without a listener the shape stream is never
 // read.
 func (w *sumWalker) walk() error {
-	cur := w.s.opnds.cursor()
-	var sc shapeCursor
+	cur := entryCursor{w.s.opnds.cursor(), w.s.counts.cursor()}
+	var gc groupCursor
 	for ri := range w.s.runs.segs {
 		runs := w.s.runs.seg(ri)
 		for i := range runs {
-			if err := w.run(&runs[i], &sc, &cur); err != nil {
+			if err := w.run(&runs[i], &gc, &cur); err != nil {
 				return err
 			}
 		}
@@ -724,9 +818,9 @@ func (w *sumWalker) walk() error {
 	return nil
 }
 
-// run replays run r, whose ops start at c in the shape stream and
-// whose operands start at cur.
-func (w *sumWalker) run(r *sumRun, c *shapeCursor, cur *cursor[uint16]) error {
+// run replays run r, whose groups start at c in the shape stream and
+// whose entries start at cur.
+func (w *sumWalker) run(r *sumRun, c *groupCursor, cur *entryCursor) error {
 	mach, aos := w.mach, w.aos
 	if w.listener != nil {
 		if mach.Instructions()+r.batch >= w.due {
@@ -734,9 +828,9 @@ func (w *sumWalker) run(r *sumRun, c *shapeCursor, cur *cursor[uint16]) error {
 		}
 		w.fold(c)
 	}
-	for n := r.nData; n > 0; {
-		ds := cur.take(n)
-		mach.ReplayDataWords(ds)
+	for n := uint64(r.nEnt); n > 0; {
+		ds, ks := cur.take(n)
+		mach.ReplayDataWords(ds, ks)
 		n -= uint64(len(ds))
 	}
 	if r.dtlb != 0 {
@@ -755,37 +849,29 @@ func (w *sumWalker) run(r *sumRun, c *shapeCursor, cur *cursor[uint16]) error {
 	sh := &w.s.shapes[r.shape]
 	var o uint16
 	if sh.w&opDataBit != 0 {
-		o = *cur.next()
+		o, _ = cur.next()
 	}
 	return w.applyOp(sh, o)
 }
 
-// fold counts the foldable ops of the run at c by shape index and
-// steps c past the boundary op that closes the run. Consecutive ops of
-// one shape (a one-block loop) count in a register.
-func (w *sumWalker) fold(c *shapeCursor) {
+// fold counts the foldable ops of the run at c by shape index, a group
+// at a time, and steps c past the boundary op's group, which closes
+// the run.
+func (w *sumWalker) fold(c *groupCursor) {
 	shapes := w.s.shapes
-	last, n := uint32(maxShapes), uint32(0) // no shape yet
 	for ; ; c.si, c.k = c.si+1, 0 {
-		for j, idx := range w.s.ops.segs[c.si][c.k:] {
-			if uint32(idx) == last {
-				n++
-				continue
-			}
-			if n != 0 {
-				w.count(uint16(last), n)
-			}
-			if shapes[idx].w&opBoundaryMask != 0 {
+		for j, g := range w.s.groups.segs[c.si][c.k:] {
+			if shapes[g.shape].w&opBoundaryMask != 0 {
 				c.k += j + 1
 				return
 			}
-			last, n = uint32(idx), 1
+			w.count(g.shape, uint64(g.n))
 		}
 	}
 }
 
 // count adds n entries of shape idx to the pending counts.
-func (w *sumWalker) count(idx uint16, n uint32) {
+func (w *sumWalker) count(idx uint16, n uint64) {
 	if w.counts[idx] == 0 {
 		w.pending = append(w.pending, idx)
 	}
@@ -797,7 +883,7 @@ func (w *sumWalker) count(idx uint16, n uint32) {
 func (w *sumWalker) flush() {
 	for _, idx := range w.pending {
 		if sh := &w.s.shapes[idx]; sh.w&(1<<opKindBits-1) == opBlock {
-			w.listener.Accumulate(uint64(sh.pc>>8), int(sh.pc&opInstrMax), uint64(w.counts[idx]))
+			w.listener.Accumulate(uint64(sh.pc>>8), int(sh.pc&opInstrMax), w.counts[idx])
 		}
 		w.counts[idx] = 0
 	}
@@ -805,21 +891,31 @@ func (w *sumWalker) flush() {
 }
 
 // exactRun applies every op of the run at c in order, the boundary op
-// last, reading operands from cur as it goes.
-func (w *sumWalker) exactRun(c *shapeCursor, cur *cursor[uint16]) error {
+// last, each data op taking one access of the entry at cur (and the
+// next entry once the current one is used up).
+func (w *sumWalker) exactRun(c *groupCursor, cur *entryCursor) error {
 	shapes := w.s.shapes
+	var o uint16
+	var left uint8 // accesses of entry o not yet applied
 	for {
-		if c.k == 1<<streamShift {
+		seg := w.s.groups.segs[c.si]
+		if c.k == len(seg) {
 			c.si, c.k = c.si+1, 0
+			seg = w.s.groups.segs[c.si]
 		}
-		sh := &shapes[w.s.ops.segs[c.si][c.k]]
+		g := seg[c.k]
 		c.k++
-		var o uint16
-		if sh.w&opDataBit != 0 {
-			o = *cur.next()
-		}
-		if err := w.applyOp(sh, o); err != nil {
-			return err
+		sh := &shapes[g.shape]
+		for range g.n {
+			if sh.w&opDataBit != 0 {
+				if left == 0 {
+					o, left = cur.next()
+				}
+				left--
+			}
+			if err := w.applyOp(sh, o); err != nil {
+				return err
+			}
 		}
 		if sh.w&opBoundaryMask != 0 {
 			return nil

@@ -185,21 +185,30 @@ var extPathInput = func() []byte {
 
 // forEachOp calls f with every op of s in order: its shape, its
 // operand (0 when the shape carries none), and its ext record (nil
-// for a packed op), read by position as the walker reads them.
+// for a packed op), read by position as the exact walk reads them:
+// each group's ops one by one, each data op taking one access of the
+// current operand-stream entry.
 func forEachOp(s *summary, f func(sh opShape, o uint16, x *sumExt)) {
-	opnds, ext := s.opnds.cursor(), s.ext.cursor()
-	for si := range s.ops.segs {
-		for _, idx := range s.ops.seg(si) {
-			sh := s.shapes[idx]
-			var o uint16
-			var x *sumExt
-			if sh.w&opDataBit != 0 {
-				o = *opnds.next()
+	cur := entryCursor{s.opnds.cursor(), s.counts.cursor()}
+	ext := s.ext.cursor()
+	var o uint16
+	var left uint8
+	for si := range s.groups.segs {
+		for _, g := range s.groups.seg(si) {
+			sh := s.shapes[g.shape]
+			for range g.n {
+				var x *sumExt
+				if sh.w&opDataBit != 0 {
+					if left == 0 {
+						o, left = cur.next()
+					}
+					left--
+				}
+				if sh.w&opExtBit != 0 {
+					x = ext.next()
+				}
+				f(sh, o, x)
 			}
-			if sh.w&opExtBit != 0 {
-				x = ext.next()
-			}
-			f(sh, o, x)
 		}
 	}
 }
@@ -344,16 +353,15 @@ func TestShapeTableOverflow(t *testing.T) {
 	}
 }
 
-// TestRunCrossesSegments: one straight-line run longer than an operand
-// segment — 70 000 block ops with a data access each, some missing the
-// D-TLB, some mispredicting — must replay identically on the run walk,
-// whose data loop crosses the segment boundary mid-run; on the exact
-// walk, which crosses shape and operand segments op by op; and on a
-// folding walk, which counts the run's block ops across shape segments
-// until a probe's interval bound falls in it.
+// TestRunCrossesSegments: one straight-line run of 70 000 block ops
+// with a data access each, some missing the D-TLB, some mispredicting,
+// recorded in the test layout, must replay identically on the run
+// walk, whose data loop crosses operand-segment boundaries mid-run; on
+// the exact walk, which crosses group and operand segments op by op;
+// and with a probe whose first interval bound falls in the run.
 func TestRunCrossesSegments(t *testing.T) {
 	const blocks = 70_000
-	r := NewSummaryRecorder(fuzzProg, 0)
+	r := newRecorder(fuzzProg, testLayout)
 	r.RecordEnter(0, 0, 0, true)
 	for i := 0; i < blocks; i++ {
 		r.RecordBlock(1, 0, 0, true)
@@ -370,8 +378,9 @@ func TestRunCrossesSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := tr.summaryFor(fuzzProg)
-	if len(s.opnds.segs) < 2 || !runStraddlesSegment(s) {
-		t.Fatalf("%d operands in %d segments, no run crosses a segment boundary", s.opnds.n, len(s.opnds.segs))
+	if len(s.groups.segs) < 3 || !runStraddlesSegment(s) {
+		t.Fatalf("%d groups in %d segments, %d entries in %d: no run crosses a segment boundary",
+			s.groups.n, len(s.groups.segs), s.opnds.n, len(s.opnds.segs))
 	}
 	var folded uint64
 	forEachRun(s, func(run sumRun) { folded = max(folded, run.nData) })
@@ -393,9 +402,9 @@ func TestRunCrossesSegments(t *testing.T) {
 	if log.n != blocks {
 		t.Errorf("listener fired %d times, want %d", log.n, blocks)
 	}
-	// The run retires 3 instructions per block: an interval of 3·70 000
-	// folds it whole (the bound lands on the halt), and one of 3·66 000
-	// makes the walk count 65 536+ ops before it must go op by op.
+	// The run retires 3 instructions per block, so the first bound of
+	// either interval falls in it (3·66 000) or on its last
+	// instruction (3·70 000), and the walk applies it op by op.
 	for _, every := range []uint64{3 * blocks, 3 * 66_000} {
 		exact := fuzzEnv(t)
 		want := newProbe(exact.Mach, every, true)
@@ -466,5 +475,118 @@ func TestFoldReachesDue(t *testing.T) {
 	if !got.same(want) {
 		t.Errorf("folded probe crossed %d times (hash %x, sum %x), exact %d (hash %x, sum %x)",
 			got.n, got.h, got.sum, want.n, want.h, want.sum)
+	}
+}
+
+// TestRunLengthSplits pins the two run-length caps. Three method
+// calls each run a one-block loop of 70 000 ops of one shape, so each
+// run's ops split into a group of 65 535 and one of 4 465; the loop
+// walks data blocks 300 accesses at a time, so each block's stretch
+// splits into an entry of 255 accesses and one of 45, with the write
+// flags of its accesses ORed into each. The fused walk, the exact walk
+// and a folding probe whose bound falls in the second call must leave
+// identical machines, the probes must agree, and the L1D must end as a
+// twin fed every access
+// at its full address. The blocks share 8 of the L1D's sets, so the
+// stretches evict one another, dirty lines included.
+func TestRunLengthSplits(t *testing.T) {
+	const (
+		calls   = 3
+		ops     = 70_000
+		stretch = 300
+	)
+	word := func(i int) uint64 { return uint64(i/stretch)*64*8 + uint64(i%8) }
+	r := NewSummaryRecorder(fuzzProg, 0)
+	r.RecordEnter(0, 0, 0, true)
+	for c := 0; c < calls; c++ {
+		r.RecordEnter(0, 0, 0, true)
+		for i := 0; i < ops; i++ {
+			r.RecordBlock(1, 0, 0, true)
+			r.RecordBody([]uint64{vm.BodyData(word(i), i%97 == 0, false)}, 3, vm.BranchCorrect)
+		}
+		r.RecordExit()
+	}
+	r.RecordExit()
+	r.RecordHalt()
+	tr, err := r.Finish(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tr.summaryFor(fuzzProg)
+	var long []sumRun
+	forEachRun(s, func(run sumRun) {
+		if run.nData != 0 {
+			long = append(long, run)
+		}
+	})
+	const entriesPerRun = 2*(ops/stretch) + 1
+	if len(long) != calls {
+		t.Fatalf("%d runs with data, want %d", len(long), calls)
+	}
+	for _, run := range long {
+		if run.nData != ops || run.nEnt != entriesPerRun {
+			t.Errorf("run of %d accesses in %d entries, want %d in %d", run.nData, run.nEnt, ops, entriesPerRun)
+		}
+	}
+	var groups []shapeGroup
+	for si := range s.groups.segs {
+		for _, g := range s.groups.seg(si) {
+			if g.n > 1 {
+				groups = append(groups, g)
+			}
+		}
+	}
+	if len(groups) != 2*calls || groups[0].n != maxGroup || groups[1].n != ops-maxGroup {
+		t.Errorf("groups of more than one op: %+v, want %d alternating %d and %d", groups, 2*calls, maxGroup, ops-maxGroup)
+	}
+	var full int
+	for si := range s.counts.segs {
+		for _, k := range s.counts.seg(si) {
+			if k == maxCount {
+				full++
+			}
+		}
+	}
+	if full != calls*(ops/stretch) {
+		t.Errorf("%d entries of %d accesses, want %d", full, maxCount, calls*(ops/stretch))
+	}
+
+	fused := fuzzEnv(t)
+	if err := tr.Replay(fused); err != nil {
+		t.Fatalf("run walk: %v", err)
+	}
+	// The probe's bound, 1.5 calls in, falls in the second call.
+	const every = 3 * ops * 3 / 2
+	exact, folded := fuzzEnv(t), fuzzEnv(t)
+	wantProbe, gotProbe := newProbe(exact.Mach, every, true), newProbe(folded.Mach, every, false)
+	exact.BlockListener, folded.BlockListener = wantProbe, gotProbe
+	if err := tr.Replay(exact); err != nil {
+		t.Fatalf("exact walk: %v", err)
+	}
+	if err := tr.Replay(folded); err != nil {
+		t.Fatalf("folding walk: %v", err)
+	}
+	want := machineState(fused.Mach)
+	checkSameState(t, "exact-vs-fused", want, machineState(exact.Mach))
+	checkSameState(t, "folded-vs-fused", want, machineState(folded.Mach))
+	if wantProbe.n != 1 || !gotProbe.same(wantProbe) {
+		t.Errorf("folded probe crossed %d times (hash %x, sum %x), exact %d (hash %x, sum %x); want once",
+			gotProbe.n, gotProbe.h, gotProbe.sum, wantProbe.n, wantProbe.h, wantProbe.sum)
+	}
+
+	l1d := fused.Mach.L1D
+	twin := cache.MustNew("twin", l1d.SizeBytes(), l1d.BlockBytes(), l1d.Ways())
+	for c := 0; c < calls; c++ {
+		for i := 0; i < ops; i++ {
+			twin.Access(word(i)*8, i%97 == 0)
+		}
+	}
+	if l1d.Stats() != twin.Stats() || l1d.Tick() != twin.Tick() || l1d.Stats().Writebacks == 0 {
+		t.Errorf("L1D stats %+v tick %d, twin %+v tick %d (want equal, with writebacks)", l1d.Stats(), l1d.Tick(), twin.Stats(), twin.Tick())
+	}
+	for set := uint64(0); set < uint64(l1d.NumSets()); set++ {
+		if g, w := l1d.ViewSet(set), twin.ViewSet(set); !reflect.DeepEqual(g, w) {
+			t.Errorf("L1D set %d: %+v, twin %+v", set, g, w)
+		}
 	}
 }

@@ -661,6 +661,41 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
+// TestEventsDoNotChangeResult: "events": true only adds an event
+// stream. A job with it must return the same result bytes as the same
+// job without it, though the stream's interval sampler reads the
+// machine's energy meters all through the run.
+func TestEventsDoNotChangeResult(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1})
+	const spec = `{"benchmarks":["jess"],"schemes":["hotspot","bbv"]`
+	var results [2][]byte
+	var eventsURL string
+	for i, tail := range []string{`,"events":true}`, `}`} {
+		_, _, body := postJob(t, ts.URL, spec+tail)
+		var st JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		final := waitState(t, ts.URL, st.ID, StateDone)
+		if final.Error != "" {
+			t.Fatalf("job %s failed: %s", spec+tail, final.Error)
+		}
+		var code int
+		if code, results[i] = getBody(t, ts.URL, final.ResultURL); code != http.StatusOK {
+			t.Fatalf("result of %s: status %d", spec+tail, code)
+		}
+		if i == 0 {
+			eventsURL = final.EventsURL
+		}
+	}
+	if code, events := getBody(t, ts.URL, eventsURL); code != http.StatusOK || !bytes.Contains(events, []byte(`"interval"`)) {
+		t.Fatalf("events job: stream status %d without interval samples", code)
+	}
+	if !bytes.Equal(results[0], results[1]) {
+		t.Errorf("result with events differs from the result without:\n%s\n%s", results[0], results[1])
+	}
+}
+
 // TestBadSpecs checks validation rejections.
 func TestBadSpecs(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})

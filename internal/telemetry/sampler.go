@@ -46,7 +46,7 @@ func NewSampler(sink Sink, mach *machine.Machine, every uint64) (*Sampler, error
 		sink:    sink,
 		mach:    mach,
 		every:   every,
-		prev:    mach.Snapshot(),
+		prev:    mach.Observe(),
 		prevL1D: mach.L1D.Stats(),
 		prevL2:  mach.L2.Stats(),
 	}
@@ -83,7 +83,7 @@ func (s *Sampler) Final() {
 
 // sample closes the current interval and emits its metrics.
 func (s *Sampler) sample() {
-	snap := s.mach.Snapshot()
+	snap := s.mach.Observe()
 	d := machine.Delta(s.prev, snap)
 	l1d := s.mach.L1D.Stats()
 	l2 := s.mach.L2.Stats()
